@@ -5,11 +5,12 @@
 
 use crate::config::SystemConfig;
 use multitree::algorithms::{Algorithm, AllReduce};
-use multitree::AlgorithmError;
+use multitree::{AlgorithmError, PreparedSchedule};
 use mt_accel::Accelerator;
-use mt_netsim::{flow::FlowEngine, Engine};
+use mt_netsim::{flow::FlowEngine, NoopObserver, SimScratch};
 use mt_topology::Topology;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::{Entry, HashMap};
 
 /// Timing breakdown of one overlapped training iteration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -42,9 +43,15 @@ impl OverlapReport {
 /// network serves queued all-reduces in FIFO order (they share the same
 /// links, so concurrent collectives would interleave rather than help).
 ///
+/// The schedule is built and prepared once per call, and each distinct
+/// all-reduce payload is simulated once; see
+/// [`simulate_overlapped_bucketed`].
+///
 /// # Errors
 ///
-/// Propagates schedule-construction errors.
+/// Propagates schedule-construction errors, [`PreparedSchedule::new`]
+/// validation errors, and [`AlgorithmError::MalformedSchedule`] if an
+/// all-reduce deadlocks in simulation.
 pub fn simulate_overlapped(
     topo: &Topology,
     model: &mt_accel::Model,
@@ -60,9 +67,18 @@ pub fn simulate_overlapped(
 /// finishes). Bucketing amortizes per-collective latency at the cost of
 /// delaying the first bytes — the classic fusion-size trade-off.
 ///
+/// The schedule is built and prepared once per call and runs on one
+/// reused [`SimScratch`]. Each distinct flush payload is simulated once:
+/// a flow-engine run is a pure function of `(prepared schedule,
+/// payload)`, so a repeated payload reuses the earlier completion time,
+/// bit for bit. Every flush still occupies the network and counts
+/// towards `comm_total_ns` on its own.
+///
 /// # Errors
 ///
-/// Propagates schedule-construction errors.
+/// Propagates schedule-construction errors, [`PreparedSchedule::new`]
+/// validation errors, and [`AlgorithmError::MalformedSchedule`] if an
+/// all-reduce deadlocks in simulation.
 ///
 /// # Panics
 ///
@@ -78,7 +94,11 @@ pub fn simulate_overlapped_bucketed(
     let acc = Accelerator::new(cfg.accelerator);
     let timing = acc.model_timing(model, cfg.per_node_batch);
     let schedule = algorithm.build(topo)?;
+    let prep = PreparedSchedule::new(&schedule, topo)?;
     let engine = FlowEngine::new(cfg.network);
+    let mut scratch = SimScratch::new();
+    // payload -> all-reduce completion time, ns
+    let mut completions: HashMap<u64, f64> = HashMap::new();
 
     let fwd_ns = acc.cycles_to_ns(timing.fwd_cycles);
     let mut clock = fwd_ns; // backward starts after forward
@@ -91,10 +111,17 @@ pub fn simulate_overlapped_bucketed(
         if *bucket == 0 {
             return Ok(());
         }
-        let ar = engine.run(topo, &schedule, *bucket)?;
+        let completion_ns = match completions.entry(*bucket) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let ar =
+                    engine.run_prepared_with(&prep, *bucket, &mut scratch, &mut NoopObserver)?;
+                *e.insert(ar.sim.completion_ns)
+            }
+        };
         let start = clock.max(network_free);
-        let finish = start + ar.completion_ns;
-        comm_total += ar.completion_ns;
+        let finish = start + completion_ns;
+        comm_total += completion_ns;
         network_free = finish;
         last_ar_finish = finish;
         *bucket = 0;
@@ -210,6 +237,41 @@ mod tests {
         let mid = simulate_overlapped_bucketed(&topo(), &m, &algo, &cfg, 4 << 20).unwrap();
         assert!(mid.total_ns <= whole.total_ns * 1.01);
         assert!(mid.total_ns <= per_layer.total_ns * 1.10);
+    }
+
+    #[test]
+    fn repeated_payloads_count_once_per_flush() {
+        // Per-layer Transformer: 31 flushes over only 3 distinct sizes
+        // (embedding, attention, FFN), so most flushes reuse an earlier
+        // payload's completion and must still be charged each time.
+        let cfg = SystemConfig::paper_default();
+        let model = models::transformer();
+        let algo = Algorithm::MultiTree(MultiTree::default());
+        let t = topo();
+        let timing = Accelerator::new(cfg.accelerator).model_timing(&model, cfg.per_node_batch);
+        let payloads: Vec<u64> = timing
+            .layers
+            .iter()
+            .rev()
+            .map(|lt| cfg.scaled_grad_bytes(lt.grad_bytes))
+            .filter(|&b| b > 0)
+            .collect();
+        let mut distinct = payloads.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!((payloads.len(), distinct.len()), (31, 3));
+
+        let schedule = algo.build(&t).unwrap();
+        let prep = PreparedSchedule::new(&schedule, &t).unwrap();
+        let engine = FlowEngine::new(cfg.network);
+        let expected = payloads.iter().fold(0.0, |sum, &b| {
+            let ar = engine
+                .run_prepared_with(&prep, b, &mut SimScratch::new(), &mut NoopObserver)
+                .unwrap();
+            sum + ar.sim.completion_ns
+        });
+        let ovl = simulate_overlapped(&t, &model, &algo, &cfg).unwrap();
+        assert_eq!(ovl.comm_total_ns.to_bits(), expected.to_bits());
     }
 
     #[test]
