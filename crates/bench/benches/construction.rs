@@ -3,7 +3,9 @@
 //! quantifying the "runs once at initialization" cost (§III-C1).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use multitree::algorithms::{AllReduce, DbTree, Hdrm, MultiTree, Ring, Ring2D};
+use multitree::algorithms::{
+    AllReduce, DbTree, HalvingDoubling, Hdrm, HierarchicalMultiTree, MultiTree, Ring, Ring2D,
+};
 use mt_topology::Topology;
 
 fn multitree_construction(c: &mut Criterion) {
@@ -43,6 +45,17 @@ fn verification(c: &mut Criterion) {
     let schedule = MultiTree::default().build(&topo).unwrap();
     c.bench_function("verify_multitree_64", |b| {
         b.iter(|| multitree::verify::verify_schedule(&schedule).unwrap())
+    });
+    // the two families whose verification dominates a cold serve miss
+    let hier = HierarchicalMultiTree::default()
+        .build(&Topology::torus(32, 32))
+        .unwrap();
+    c.bench_function("verify_hier_1024", |b| {
+        b.iter(|| multitree::verify::verify_schedule(&hier).unwrap())
+    });
+    let hd = HalvingDoubling.build(&Topology::hypercube(8)).unwrap();
+    c.bench_function("verify_hd_256", |b| {
+        b.iter(|| multitree::verify::verify_schedule(&hd).unwrap())
     });
 }
 

@@ -13,6 +13,11 @@
 //!    of the schedule. A schedule relying on an undeclared ordering (one
 //!    that a timed network simulation could legally violate) fails here —
 //!    exactly the class of bug the paper's lockstep hardware prevents.
+//!    An origin set is `⌈n/64⌉` words, one bit per contributing node.
+//!    Each event keeps one row of sets, one per segment of its chunk, and
+//!    each node keeps one row with a set per schedule segment. A
+//!    dependency is ORed in only over the overlap of the two chunks, and
+//!    completion is tested word by word against the required set.
 //! 2. **Exact numeric execution** ([`execute_numeric`]) — buffers hold
 //!    integers-in-`f64`; `Reduce` adds, `Gather` overwrites. Every node
 //!    must end with the *exact* sum of all contributions, which catches
@@ -22,7 +27,6 @@
 use crate::error::AlgorithmError;
 use crate::event::{CollectiveOp, CommEvent};
 use crate::schedule::CommSchedule;
-use crate::util::BitSet;
 
 /// Statistics returned by a successful verification.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,7 +70,10 @@ pub fn verify_schedule(schedule: &CommSchedule) -> Result<VerifyReport, Algorith
 ///
 /// # Errors
 ///
-/// Same conditions as [`verify_schedule`], scoped to the subset.
+/// Same conditions as [`verify_schedule`], scoped to the subset. A
+/// participant outside the schedule's nodes, or a dependency on an event
+/// of the same step (which the numeric execution cannot order), is an
+/// [`AlgorithmError::MalformedSchedule`].
 pub fn verify_allreduce_among(
     schedule: &CommSchedule,
     participants: &[mt_topology::NodeId],
@@ -74,58 +81,41 @@ pub fn verify_allreduce_among(
     schedule.validate()?;
     let n = schedule.num_nodes();
     let segs = schedule.total_segments() as usize;
-    let mut required = BitSet::new(n);
+    let mut required = vec![0u64; n.div_ceil(64)];
     for p in participants {
-        required.insert(p.index());
+        if p.index() >= n {
+            return Err(AlgorithmError::MalformedSchedule {
+                detail: format!("participant {p} is not one of the schedule's {n} nodes"),
+            });
+        }
+        required[p.index() / 64] |= 1 << (p.index() % 64);
     }
-
-    // carried[event][segment - chunk.start]: which origins the event's
-    // payload contains for that segment.
-    let mut carried: Vec<Vec<BitSet>> = Vec::with_capacity(schedule.events().len());
-    // state[node][segment]: origins accumulated in the node's buffer.
-    let mut state: Vec<Vec<BitSet>> = (0..n)
-        .map(|i| {
-            (0..segs)
-                .map(|_| {
-                    let mut b = BitSet::new(n);
-                    b.insert(i);
-                    b
-                })
-                .collect()
-        })
-        .collect();
+    let is_required = |node: usize| required[node / 64] >> (node % 64) & 1 == 1;
 
     let mut gathers = 0usize;
     let mut reduces = 0usize;
-
     for e in schedule.topological_order() {
-        if !required.contains(e.src.index()) || !required.contains(e.dst.index()) {
+        if !is_required(e.src.index()) || !is_required(e.dst.index()) {
             return Err(AlgorithmError::MalformedSchedule {
                 detail: format!("{e} involves a non-participant endpoint"),
             });
         }
-        let payload = event_payload(schedule, e, &carried, n)?;
-        if e.op == CollectiveOp::Gather {
-            gathers += 1;
-        } else {
-            reduces += 1;
+        match e.op {
+            CollectiveOp::Gather => gathers += 1,
+            CollectiveOp::Reduce => reduces += 1,
         }
-        // Deliver: the destination accumulates the payload.
-        for (i, seg) in e.chunk.segments().enumerate() {
-            state[e.dst.index()][seg as usize].union_with(&payload[i]);
-        }
-        carried.push(payload);
     }
 
+    let sets = OriginSets::run(schedule);
     for p in participants {
         let node = p.index();
-        #[allow(clippy::needless_range_loop)]
         for seg in 0..segs {
-            if !contains_all(&state[node][seg], &required) {
+            let set = sets.set(node, seg);
+            if set.iter().zip(&required).any(|(s, r)| s & r != *r) {
                 return Err(AlgorithmError::VerificationFailed {
                     detail: format!(
                         "node {node} ends with {}/{} contributions for segment {seg}",
-                        state[node][seg].len(),
+                        popcount(set),
                         participants.len()
                     ),
                 });
@@ -134,8 +124,9 @@ pub fn verify_allreduce_among(
     }
 
     // --- exact numeric execution: catches double counting
-    let finals = execute_numeric(schedule, &|node| {
-        if required.contains(node) {
+    check_earlier_step_deps(schedule)?;
+    let finals = numeric_finals(schedule, &|node| {
+        if is_required(node) {
             (node + 1) as f64
         } else {
             0.0
@@ -143,9 +134,8 @@ pub fn verify_allreduce_among(
     });
     let expected: f64 = participants.iter().map(|p| (p.index() + 1) as f64).sum();
     for p in participants {
-        #[allow(clippy::needless_range_loop)]
         for seg in 0..segs {
-            let got = finals[p.index()][seg];
+            let got = finals[p.index() * segs + seg];
             if got != expected {
                 return Err(AlgorithmError::VerificationFailed {
                     detail: format!(
@@ -161,6 +151,118 @@ pub fn verify_allreduce_among(
         gathers,
         reduces,
     })
+}
+
+/// Final origin sets of the dependency-strict dataflow: row `node` holds
+/// `segments` consecutive sets of `words` words each, and bit `o` of a
+/// set means node `o`'s contribution reached that node's buffer for that
+/// segment.
+pub(crate) struct OriginSets {
+    words: usize,
+    rows: Vec<Box<[u64]>>,
+}
+
+impl OriginSets {
+    /// Runs the dataflow over every event of `schedule` in topological
+    /// order. Every node starts holding its own contribution in every
+    /// segment, and an event's destination accumulates its payload.
+    ///
+    /// The payload is derived only from the event's declared deps:
+    ///
+    /// * A dep contributes data only if it delivers to the event's sender
+    ///   (other deps merely sequence time), and only over the overlap of
+    ///   the two chunks.
+    /// * A `Reduce` payload always mixes in the sender's own partial.
+    /// * A `Gather` payload mixes in the sender's own partial only where
+    ///   the broadcast *originates* (no incoming `Gather` dep covers the
+    ///   segment): the root of a broadcast tree sends its fully reduced
+    ///   local buffer, while interior nodes forward exactly what they
+    ///   received.
+    pub(crate) fn run(schedule: &CommSchedule) -> Self {
+        let n = schedule.num_nodes();
+        let words = n.div_ceil(64);
+        let row_len = schedule.total_segments() as usize * words;
+        let mut rows: Vec<Box<[u64]>> = (0..n)
+            .map(|node| {
+                let mut row = vec![0u64; row_len].into_boxed_slice();
+                for set in row.chunks_exact_mut(words) {
+                    set[node / 64] |= 1 << (node % 64);
+                }
+                row
+            })
+            .collect();
+
+        // carried[event]: the event's payload, one set per chunk segment
+        let mut carried: Vec<Box<[u64]>> = Vec::with_capacity(schedule.events().len());
+        // gather_fed[i]: an incoming Gather dep covers the chunk's i-th segment
+        let mut gather_fed: Vec<bool> = Vec::new();
+        for e in schedule.topological_order() {
+            let start = e.chunk.start as usize;
+            let mut payload = vec![0u64; e.chunk.len() as usize * words].into_boxed_slice();
+            gather_fed.clear();
+            gather_fed.resize(e.chunk.len() as usize, false);
+            for d in &e.deps {
+                let dep = schedule.event(*d);
+                let lo = e.chunk.start.max(dep.chunk.start) as usize;
+                let hi = e.chunk.end.min(dep.chunk.end) as usize;
+                if dep.dst != e.src || lo >= hi {
+                    continue;
+                }
+                let dep_start = dep.chunk.start as usize;
+                let from = &carried[d.index()][(lo - dep_start) * words..(hi - dep_start) * words];
+                let into = &mut payload[(lo - start) * words..(hi - start) * words];
+                for (w, f) in into.iter_mut().zip(from) {
+                    *w |= f;
+                }
+                if dep.op == CollectiveOp::Gather {
+                    gather_fed[lo - start..hi - start].fill(true);
+                }
+            }
+
+            let (word, bit) = (e.src.index() / 64, 1u64 << (e.src.index() % 64));
+            for (set, &fed) in payload.chunks_exact_mut(words).zip(&gather_fed) {
+                if e.op == CollectiveOp::Reduce || !fed {
+                    set[word] |= bit;
+                }
+            }
+            let state = &mut rows[e.dst.index()][start * words..];
+            for (w, p) in state.iter_mut().zip(payload.iter()) {
+                *w |= p;
+            }
+            carried.push(payload);
+        }
+        OriginSets { words, rows }
+    }
+
+    /// The origins node `node` holds for segment `seg`.
+    pub(crate) fn set(&self, node: usize, seg: usize) -> &[u64] {
+        &self.rows[node][seg * self.words..(seg + 1) * self.words]
+    }
+}
+
+/// Number of origins in a set.
+pub(crate) fn popcount(set: &[u64]) -> usize {
+    set.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+/// Rejects any dependency on an event of the same or a later step: the
+/// lockstep rounds of the numeric execution are a legal serialization
+/// only when every dependency lands on a strictly earlier step.
+fn check_earlier_step_deps(schedule: &CommSchedule) -> Result<(), AlgorithmError> {
+    for e in schedule.events() {
+        for d in &e.deps {
+            let dep = schedule.event(*d);
+            if dep.step >= e.step {
+                return Err(AlgorithmError::MalformedSchedule {
+                    detail: format!(
+                        "{e} depends on {dep} of the same or a later step; \
+                         lockstep rounds need strictly earlier-step deps"
+                    ),
+                });
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Executes a schedule numerically in bulk-synchronous (lockstep) rounds:
@@ -184,35 +286,57 @@ pub fn execute_numeric(
     schedule: &CommSchedule,
     initial: &dyn Fn(usize) -> f64,
 ) -> Vec<Vec<f64>> {
+    let segs = schedule.total_segments() as usize;
+    numeric_finals(schedule, initial)
+        .chunks_exact(segs)
+        .map(<[f64]>::to_vec)
+        .collect()
+}
+
+/// [`execute_numeric`] into one flat buffer: the value of segment `seg`
+/// at node `node` is at `node * segments + seg`.
+fn numeric_finals(schedule: &CommSchedule, initial: &dyn Fn(usize) -> f64) -> Vec<f64> {
     let n = schedule.num_nodes();
     let segs = schedule.total_segments() as usize;
-    let mut buf: Vec<Vec<f64>> = (0..n).map(|i| vec![initial(i); segs]).collect();
-    for step_events in schedule.events_by_step() {
-        // payloads from the start-of-step state
-        let payloads: Vec<Vec<f64>> = step_events
-            .iter()
-            .map(|e| {
-                for d in &e.deps {
-                    assert!(
-                        schedule.event(*d).step < e.step,
-                        "numeric execution needs strictly earlier-step deps ({} depends on {})",
-                        e,
-                        schedule.event(*d)
-                    );
-                }
-                e.chunk
-                    .segments()
-                    .map(|seg| buf[e.src.index()][seg as usize])
-                    .collect()
-            })
-            .collect();
+    let mut buf: Vec<f64> = (0..n)
+        .flat_map(|node| std::iter::repeat_n(initial(node), segs))
+        .collect();
+    // a stable sort keeps each step's events in schedule order
+    let mut by_step: Vec<&CommEvent> = schedule.events().iter().collect();
+    by_step.sort_by_key(|e| e.step);
+    // the step's payloads, read from the start-of-step buffers
+    let mut payloads: Vec<f64> = Vec::new();
+    for step_events in by_step.chunk_by(|a, b| a.step == b.step) {
+        payloads.clear();
+        for e in step_events {
+            for d in &e.deps {
+                assert!(
+                    schedule.event(*d).step < e.step,
+                    "numeric execution needs strictly earlier-step deps ({} depends on {})",
+                    e,
+                    schedule.event(*d)
+                );
+            }
+            let from = e.src.index() * segs;
+            payloads.extend_from_slice(
+                &buf[from + e.chunk.start as usize..from + e.chunk.end as usize],
+            );
+        }
         // then all of the step's deliveries
-        for (e, payload) in step_events.iter().zip(&payloads) {
-            for (i, seg) in e.chunk.segments().enumerate() {
-                match e.op {
-                    CollectiveOp::Reduce => buf[e.dst.index()][seg as usize] += payload[i],
-                    CollectiveOp::Gather => buf[e.dst.index()][seg as usize] = payload[i],
+        let mut offset = 0;
+        for e in step_events {
+            let len = e.chunk.len() as usize;
+            let payload = &payloads[offset..offset + len];
+            offset += len;
+            let into = e.dst.index() * segs + e.chunk.start as usize;
+            let into = &mut buf[into..into + len];
+            match e.op {
+                CollectiveOp::Reduce => {
+                    for (b, p) in into.iter_mut().zip(payload) {
+                        *b += p;
+                    }
                 }
+                CollectiveOp::Gather => into.copy_from_slice(payload),
             }
         }
     }
@@ -221,17 +345,17 @@ pub fn execute_numeric(
 
 /// Memory-scalable all-reduce verification for very large machines.
 ///
-/// The full symbolic verifier tracks an origin [`BitSet`] per
-/// `(node, segment)` pair — `O(n² · segments / 64)` words, about
-/// 128 GiB at 65536 nodes — so it cannot run at the scales the
+/// The full symbolic verifier keeps a row of origin sets per node, one
+/// `⌈n/64⌉`-word set for each segment — `O(n² · segments / 64)` words,
+/// about 128 GiB at 65536 nodes — so it cannot run at the scales the
 /// hierarchical builder now reaches. This tier keeps the structural
 /// validation, checks that every dependency lands on a strictly earlier
 /// step (the property that makes the lockstep rounds a legal
 /// serialization), and then runs **two** exact numeric executions
 /// ([`execute_numeric`]) with independent contribution patterns,
 /// requiring every node to end with the exact sum in every segment.
-/// Memory is `O(n · segments)` values — ~134 MB at 65536 nodes with
-/// 256 segments.
+/// Memory is one flat buffer of `n · segments` values — ~134 MB at
+/// 65536 nodes with 256 segments.
 ///
 /// Contributions are distinct per node in both patterns, so any dropped
 /// or double-counted contribution shifts at least one final sum; two
@@ -247,28 +371,14 @@ pub fn execute_numeric(
 /// [`AlgorithmError::VerificationFailed`] when a final sum is wrong.
 pub fn verify_allreduce_numeric(schedule: &CommSchedule) -> Result<VerifyReport, AlgorithmError> {
     schedule.validate()?;
+    check_earlier_step_deps(schedule)?;
     let n = schedule.num_nodes();
     let segs = schedule.total_segments() as usize;
-
-    let mut gathers = 0usize;
-    let mut reduces = 0usize;
-    for e in schedule.events() {
-        for d in &e.deps {
-            let dep = schedule.event(*d);
-            if dep.step >= e.step {
-                return Err(AlgorithmError::MalformedSchedule {
-                    detail: format!(
-                        "{e} depends on {dep} of the same or a later step; \
-                         lockstep rounds need strictly earlier-step deps"
-                    ),
-                });
-            }
-        }
-        match e.op {
-            CollectiveOp::Gather => gathers += 1,
-            CollectiveOp::Reduce => reduces += 1,
-        }
-    }
+    let gathers = schedule
+        .events()
+        .iter()
+        .filter(|e| e.op == CollectiveOp::Gather)
+        .count();
 
     // two independent integer contribution patterns, both exact in f64:
     // node ranks, and a multiplicative scramble of them
@@ -278,17 +388,16 @@ pub fn verify_allreduce_numeric(schedule: &CommSchedule) -> Result<VerifyReport,
     ];
     for initial in patterns {
         let expected: f64 = (0..n).map(initial).sum();
-        let finals = execute_numeric(schedule, initial);
-        for (node, vals) in finals.iter().enumerate() {
-            for (seg, &got) in vals.iter().enumerate().take(segs) {
-                if got != expected {
-                    return Err(AlgorithmError::VerificationFailed {
-                        detail: format!(
-                            "numeric execution: node {node} segment {seg} ends with {got}, \
-                             expected {expected} (a contribution was dropped or double-counted)"
-                        ),
-                    });
-                }
+        let finals = numeric_finals(schedule, initial);
+        for (i, &got) in finals.iter().enumerate() {
+            if got != expected {
+                let (node, seg) = (i / segs, i % segs);
+                return Err(AlgorithmError::VerificationFailed {
+                    detail: format!(
+                        "numeric execution: node {node} segment {seg} ends with {got}, \
+                         expected {expected} (a contribution was dropped or double-counted)"
+                    ),
+                });
             }
         }
     }
@@ -296,61 +405,8 @@ pub fn verify_allreduce_numeric(schedule: &CommSchedule) -> Result<VerifyReport,
     Ok(VerifyReport {
         events: schedule.events().len(),
         gathers,
-        reduces,
+        reduces: schedule.events().len() - gathers,
     })
-}
-
-/// True if `set` contains every element of `required`.
-fn contains_all(set: &BitSet, required: &BitSet) -> bool {
-    required.iter().all(|i| set.contains(i))
-}
-
-/// Derives the payload an event carries, using only its declared deps.
-///
-/// * A `Reduce` payload always mixes in the sender's own partial.
-/// * A `Gather` payload mixes in the sender's own partial only where the
-///   broadcast *originates* (no incoming `Gather` dependency covers the
-///   segment): the root of a broadcast tree sends its fully reduced local
-///   buffer, while interior nodes forward exactly what they received.
-fn event_payload(
-    schedule: &CommSchedule,
-    e: &CommEvent,
-    carried: &[Vec<BitSet>],
-    n: usize,
-) -> Result<Vec<BitSet>, AlgorithmError> {
-    let mut payload: Vec<BitSet> = e.chunk.segments().map(|_| BitSet::new(n)).collect();
-    // Which segments already receive data via an incoming Gather dep.
-    let mut has_gather_dep = vec![false; e.chunk.len() as usize];
-
-    for d in &e.deps {
-        let dep = schedule.event(*d);
-        if dep.dst != e.src {
-            // A dependency that is not a delivery to our sender only
-            // sequences time (e.g. "my previous send finished"); it
-            // contributes no data.
-            continue;
-        }
-        for (i, seg) in e.chunk.segments().enumerate() {
-            if dep.chunk.contains(seg) {
-                let offset = (seg - dep.chunk.start) as usize;
-                payload[i].union_with(&carried[d.index()][offset]);
-                if dep.op == CollectiveOp::Gather {
-                    has_gather_dep[i] = true;
-                }
-            }
-        }
-    }
-
-    for (i, _seg) in e.chunk.segments().enumerate() {
-        let add_self = match e.op {
-            CollectiveOp::Reduce => true,
-            CollectiveOp::Gather => !has_gather_dep[i],
-        };
-        if add_self {
-            payload[i].insert(e.src.index());
-        }
-    }
-    Ok(payload)
 }
 
 #[cfg(test)]
@@ -582,6 +638,61 @@ mod tests {
     fn empty_schedule_fails_for_multiple_nodes() {
         let s = CommSchedule::new("hand", 2, 1);
         assert!(verify_schedule(&s).is_err());
+    }
+
+    /// A dependency on an event of the same step cannot be ordered by
+    /// the lockstep numeric execution: a typed error, not a panic.
+    #[test]
+    fn same_step_dep_is_malformed() {
+        let mut s = CommSchedule::new("hand", 2, 1);
+        let c = ChunkRange::single(0);
+        let f = FlowId(0);
+        let r = s.push_event(
+            NodeId::new(0),
+            NodeId::new(1),
+            f,
+            CollectiveOp::Reduce,
+            c,
+            1,
+            vec![],
+            None,
+        );
+        s.push_event(
+            NodeId::new(1),
+            NodeId::new(0),
+            f,
+            CollectiveOp::Gather,
+            c,
+            1,
+            vec![r],
+            None,
+        );
+        let err = verify_schedule(&s).unwrap_err();
+        assert!(
+            matches!(&err, AlgorithmError::MalformedSchedule { detail } if detail.contains("strictly earlier-step")),
+            "{err}"
+        );
+    }
+
+    /// A participant outside the schedule's nodes is a typed error.
+    #[test]
+    fn out_of_range_participant_is_malformed() {
+        let mut s = CommSchedule::new("hand", 2, 1);
+        s.push_event(
+            NodeId::new(0),
+            NodeId::new(1),
+            FlowId(0),
+            CollectiveOp::Reduce,
+            ChunkRange::single(0),
+            1,
+            vec![],
+            None,
+        );
+        let err = verify_allreduce_among(&s, &[NodeId::new(5)]).unwrap_err();
+        assert!(
+            matches!(&err, AlgorithmError::MalformedSchedule { detail } if detail.contains("participant N5")),
+            "{err}"
+        );
     }
 
     /// A single-node schedule is trivially complete.
