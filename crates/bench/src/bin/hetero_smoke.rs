@@ -26,7 +26,7 @@ use multitree::algorithms::{AllReduce, MultiTree};
 use multitree::{CommSchedule, PreparedSchedule};
 use mt_bench::args::Args;
 use mt_bench::dump_json;
-use mt_bench::suites::{run_engine_prepared, EngineKind};
+use mt_bench::suites::{run_engine, EngineKind};
 use mt_netsim::{NetworkConfig, SimScratch};
 use mt_topology::Topology;
 use serde::Serialize;
@@ -91,12 +91,12 @@ fn main() {
     let mut scratch = SimScratch::new();
 
     let t0 = Instant::now();
-    let fu = run_engine_prepared(EngineKind::Flow, cfg, &prep_uni, bytes, &mut scratch);
-    let fa = run_engine_prepared(EngineKind::Flow, cfg, &prep_aware, bytes, &mut scratch);
+    let fu = run_engine(EngineKind::Flow, cfg, &prep_uni, bytes, &mut scratch);
+    let fa = run_engine(EngineKind::Flow, cfg, &prep_aware, bytes, &mut scratch);
     let flow_wall = t0.elapsed();
     let t0 = Instant::now();
-    let cu = run_engine_prepared(EngineKind::Cycle, cfg, &prep_uni, bytes, &mut scratch);
-    let ca = run_engine_prepared(EngineKind::Cycle, cfg, &prep_aware, bytes, &mut scratch);
+    let cu = run_engine(EngineKind::Cycle, cfg, &prep_uni, bytes, &mut scratch);
+    let ca = run_engine(EngineKind::Cycle, cfg, &prep_aware, bytes, &mut scratch);
     let cycle_wall = t0.elapsed();
 
     let summary = Summary {

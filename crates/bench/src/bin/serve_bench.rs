@@ -196,9 +196,8 @@ fn run_phase(
 /// The batched phase: one warm key, then `requests` same-key runs
 /// pipelined down one connection. Payloads form a ladder in blocks of
 /// eight equal sizes, so coalesced batches usually carry repeated
-/// payloads (the flow engine's framing-reuse fast path) while the
-/// ladder still proves mixed-payload batches return per-payload
-/// results.
+/// payloads while the ladder still proves mixed-payload batches return
+/// per-payload results.
 fn run_batched_phase(
     base: &TopologySpec,
     requests: usize,

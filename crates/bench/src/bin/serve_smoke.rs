@@ -191,8 +191,8 @@ fn main() {
     let burst_n = 32usize;
     let burst: Vec<Request> = (0..burst_n)
         .map(|i| {
-            // payload ladder in blocks of 8 equal sizes: repeated
-            // payloads inside a batch take the framing-reuse fast path
+            // payload ladder in blocks of 8 equal sizes, so batches
+            // carry both repeated and mixed payloads
             let payload = (1u64 << 20) >> ((i / 8) % 3);
             run_req(torus.clone(), AlgorithmSpec::MultiTree, payload, EngineSpec::Flow, None)
         })

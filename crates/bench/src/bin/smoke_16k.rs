@@ -1,18 +1,18 @@
 //! 16k-node smoke check: hierarchically constructs the MultiTree
 //! all-reduce on a 128×128 torus (16384 nodes, auto pod partition) and
-//! executes it with the sharded flow engine, failing if the whole thing
-//! blows a wall-clock budget. The flat construction path is quadratic
-//! territory at this scale (a flat RING schedule would be half a
-//! billion events; the hierarchical one is ~65 k), so this binary is
-//! the CI tripwire for the hierarchical composition and the sharded
-//! scheduler both: a regression in either shows up as an
-//! order-of-magnitude wall-clock jump.
+//! executes it with the flow engine, failing if the whole thing blows a
+//! wall-clock budget. The flat construction path is quadratic territory
+//! at this scale (a flat RING schedule would be half a billion events;
+//! the hierarchical one is ~65 k), so this binary is the CI tripwire for
+//! the hierarchical composition and the flow engine at scale: a
+//! regression in either shows up as an order-of-magnitude wall-clock
+//! jump.
 //!
 //! Two full-scale determinism guarantees are asserted on every CI run:
 //!
-//! * **shard counts** — the schedule is executed at two shard counts
-//!   and the reports compared field-for-field (the sharded engine's
-//!   byte-identical-for-any-shard-count promise);
+//! * **scratch reuse** — the schedule is executed twice on one scratch
+//!   and the reports compared field-for-field (a reused scratch carries
+//!   no state between runs);
 //! * **build threads** — the schedule is rebuilt with the per-pod tree
 //!   builds fanned across 2 workers and compared byte-for-byte against
 //!   the serial build (the parallel pod-build promise).
@@ -26,13 +26,13 @@
 //! ```
 //!
 //! Exits non-zero (with a diagnostic) when the budget is exceeded, the
-//! shard counts disagree, or the run produces an implausible result.
+//! two runs disagree, or the run produces an implausible result.
 
 use multitree::algorithms::{AllReduce, HierarchicalMultiTree};
 use multitree::PreparedSchedule;
 use mt_bench::args::Args;
-use mt_netsim::{flow::FlowEngine, NetworkConfig, NoopObserver, ShardPlan, SimScratch};
-use mt_topology::{Partition, Topology};
+use mt_netsim::{flow::FlowEngine, NetworkConfig, NoopObserver, SimScratch};
+use mt_topology::Topology;
 use std::time::Instant;
 
 fn main() {
@@ -71,36 +71,21 @@ fn main() {
     let prep = PreparedSchedule::new(&schedule, &topo).expect("schedule validates");
     let prepare = t0.elapsed();
 
-    let pod_plan = ShardPlan::from_partition(&topo, &part);
-    let other_plan = ShardPlan::from_partition(&topo, &Partition::balanced(&topo, 7));
-
-    // ---- engine: the timed section measures only the sharded runs.
+    // ---- engine: the timed section measures only the flow runs.
     let engine = FlowEngine::new(NetworkConfig::paper_message_based());
     let mut scratch = SimScratch::new();
     let t0 = Instant::now();
     let report = engine
-        .run_prepared_sharded_with(
-            &prep,
-            bytes_mib << 20,
-            &mut scratch,
-            &pod_plan,
-            &mut NoopObserver,
-        )
-        .expect("sharded flow run completes");
+        .run_prepared_with(&prep, bytes_mib << 20, &mut scratch, &mut NoopObserver)
+        .expect("flow run completes");
     let flow = t0.elapsed();
 
-    // determinism across shard counts, asserted at full scale
+    // scratch-reuse determinism, asserted at full scale
     let t0 = Instant::now();
-    let report7 = engine
-        .run_prepared_sharded_with(
-            &prep,
-            bytes_mib << 20,
-            &mut scratch,
-            &other_plan,
-            &mut NoopObserver,
-        )
-        .expect("sharded flow run completes");
-    let flow7 = t0.elapsed();
+    let rerun = engine
+        .run_prepared_with(&prep, bytes_mib << 20, &mut scratch, &mut NoopObserver)
+        .expect("flow run completes");
+    let flow_rerun = t0.elapsed();
     let total = wall.elapsed();
 
     println!(
@@ -112,17 +97,13 @@ fn main() {
     println!("  hierarchical construct: {construct:?} (2 build threads: {construct_mt:?})");
     println!("  prepare:                {prepare:?}");
     println!(
-        "  sharded flow run ({} shards): {flow:?} (completion {:.3} ms)",
-        pod_plan.num_shards(),
+        "  flow run:               {flow:?} (completion {:.3} ms)",
         report.sim.completion_ns / 1e6
     );
-    println!("  sharded flow run (7 shards): {flow7:?}");
+    println!("  flow rerun, same scratch: {flow_rerun:?}");
     println!("  total:                  {total:?} (budget {budget_s}s)");
 
-    assert_eq!(
-        report, report7,
-        "sharded engine diverged across shard counts"
-    );
+    assert_eq!(report, rerun, "flow engine diverged on a reused scratch");
     assert!(report.sim.messages > 0, "no messages simulated");
     assert!(
         report.sim.completion_ns > 0.0,
@@ -135,5 +116,5 @@ fn main() {
         );
         std::process::exit(1);
     }
-    println!("OK: within budget, byte-identical across shard counts and build threads");
+    println!("OK: within budget, byte-identical across scratch reuse and build threads");
 }

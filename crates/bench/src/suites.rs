@@ -3,10 +3,9 @@
 
 use crate::parallel::run_indexed;
 use multitree::algorithms::{Algorithm, AllReduce, DbTree, Hdrm, MultiTree, Ring, Ring2D};
-use multitree::{CommSchedule, PreparedSchedule};
+use multitree::PreparedSchedule;
 use mt_netsim::{
-    cycle::CycleEngine, flow::FlowEngine, Engine, EngineReport, NetworkConfig, NoopObserver,
-    SimObserver, SimScratch,
+    cycle::CycleEngine, flow::FlowEngine, EngineReport, NetworkConfig, NoopObserver, SimScratch,
 };
 use mt_topology::Topology;
 use serde::Serialize;
@@ -31,53 +30,21 @@ impl std::str::FromStr for EngineKind {
     }
 }
 
-/// Runs a schedule on the chosen engine.
+/// Runs a prepared schedule on the chosen engine, reusing `scratch`
+/// across calls.
 pub fn run_engine(
     kind: EngineKind,
     cfg: NetworkConfig,
-    topo: &Topology,
-    schedule: &CommSchedule,
-    bytes: u64,
-) -> mt_netsim::SimReport {
-    match kind {
-        EngineKind::Flow => FlowEngine::new(cfg)
-            .run(topo, schedule, bytes)
-            .expect("flow engine"),
-        EngineKind::Cycle => CycleEngine::new(cfg)
-            .run(topo, schedule, bytes)
-            .expect("cycle engine"),
-    }
-}
-
-/// Runs a prepared schedule on the chosen engine, reusing `scratch`
-/// across calls — the sweep fast path (bit-identical to [`run_engine`]).
-/// Equivalent to [`run_engine_prepared_with`] with a [`NoopObserver`].
-pub fn run_engine_prepared(
-    kind: EngineKind,
-    cfg: NetworkConfig,
     prep: &PreparedSchedule<'_>,
     bytes: u64,
     scratch: &mut SimScratch,
 ) -> EngineReport {
-    run_engine_prepared_with(kind, cfg, prep, bytes, scratch, &mut NoopObserver)
-}
-
-/// Runs a prepared schedule on the chosen engine through the unified
-/// observer entry point, streaming telemetry into `obs`.
-pub fn run_engine_prepared_with<O: SimObserver>(
-    kind: EngineKind,
-    cfg: NetworkConfig,
-    prep: &PreparedSchedule<'_>,
-    bytes: u64,
-    scratch: &mut SimScratch,
-    obs: &mut O,
-) -> EngineReport {
     match kind {
         EngineKind::Flow => FlowEngine::new(cfg)
-            .run_prepared_with(prep, bytes, scratch, obs)
+            .run_prepared_with(prep, bytes, scratch, &mut NoopObserver)
             .expect("flow engine"),
         EngineKind::Cycle => CycleEngine::new(cfg)
-            .run_prepared_with(prep, bytes, scratch, obs)
+            .run_prepared_with(prep, bytes, scratch, &mut NoopObserver)
             .expect("cycle engine"),
     }
 }
@@ -247,7 +214,7 @@ pub fn bandwidth_sweep_parallel(
         sizes
             .iter()
             .map(|&bytes| {
-                let report = run_engine_prepared(engine, ac.network, &prep, bytes, &mut scratch);
+                let report = run_engine(engine, ac.network, &prep, bytes, &mut scratch);
                 BandwidthPoint {
                     network: net_label.clone(),
                     algorithm: ac.label.to_string(),

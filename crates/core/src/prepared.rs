@@ -229,39 +229,6 @@ impl<'a> PreparedSchedule<'a> {
         }
     }
 
-    /// A second view over the same parts, borrowing this one's data.
-    ///
-    /// `Clone` on a view holding owned data deep-copies the CSR arrays;
-    /// batch executors and fan-out sweeps that want one view per run or
-    /// per thread re-borrow instead — the result always holds
-    /// `Cow::Borrowed`, whatever this view holds, so it costs three
-    /// pointers.
-    ///
-    /// ```
-    /// use mt_topology::Topology;
-    /// use multitree::algorithms::{AllReduce, MultiTree};
-    /// use multitree::prepared::PreparedSchedule;
-    ///
-    /// let topo = Topology::torus(4, 4);
-    /// let schedule = MultiTree::default().build(&topo)?;
-    /// let prep = PreparedSchedule::new(&schedule, &topo)?; // owns its data
-    /// let n_events = schedule.events().len();
-    /// std::thread::scope(|s| {
-    ///     for _ in 0..4 {
-    ///         let view = prep.reborrow(); // no array copies
-    ///         s.spawn(move || assert_eq!(view.num_events(), n_events));
-    ///     }
-    /// });
-    /// # Ok::<(), multitree::AlgorithmError>(())
-    /// ```
-    pub fn reborrow(&self) -> PreparedSchedule<'_> {
-        PreparedSchedule {
-            schedule: self.schedule,
-            topo: self.topo,
-            data: Cow::Borrowed(&self.data),
-        }
-    }
-
     /// The owned half: flattened arrays, detachable for caching.
     pub fn data(&self) -> &PreparedData {
         &self.data

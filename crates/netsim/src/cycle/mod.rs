@@ -379,38 +379,6 @@ impl CycleEngine {
         })
     }
 
-    /// Executes an already-prepared schedule once per payload size in
-    /// `payloads` — the cycle-accurate twin of
-    /// [`FlowEngine::run_prepared_batch_with`](crate::flow::FlowEngine::run_prepared_batch_with),
-    /// and what the serving daemon's coalesced batches call for
-    /// `EngineSpec::Cycle` requests.
-    ///
-    /// The prepared CSR/bottleneck tables are indexed from one borrow
-    /// and `scratch` stays warm across runs; the flit-level message and
-    /// NI tables are payload-*dependent* here, so unlike the flow
-    /// engine's framing-reuse there is nothing further to skip between
-    /// runs — a cycle run's execution dwarfs its table setup by orders
-    /// of magnitude anyway. Per-payload reports are byte-identical to N
-    /// independent [`CycleEngine::run_prepared_with`] calls.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AlgorithmError::MalformedSchedule`] if a run exceeds
-    /// the cycle watchdog; payloads after the failing one are not
-    /// attempted.
-    pub fn run_prepared_batch_with<O: SimObserver>(
-        &self,
-        prep: &PreparedSchedule<'_>,
-        payloads: &[u64],
-        scratch: &mut SimScratch,
-        obs: &mut O,
-    ) -> Result<Vec<EngineReport>, AlgorithmError> {
-        payloads
-            .iter()
-            .map(|&total_bytes| self.run_prepared_with(prep, total_bytes, scratch, obs))
-            .collect()
-    }
-
     /// Executes a prepared schedule under a [`FaultPlan`] at flit
     /// granularity: links die, flap or degrade and hosts crash at the
     /// planned times while the schedule runs. Unlike the healthy entry

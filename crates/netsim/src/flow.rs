@@ -17,14 +17,21 @@
 //! pathological multi-hop pile-ups and slightly optimistic for heavily
 //! contended ones (it *under*-penalizes DBTree, the paper's congested
 //! baseline, making our comparisons conservative).
+//!
+//! A prepared schedule runs through one flat loop over one global ready
+//! queue: [`FlowEngine::run_prepared_with`] healthy and
+//! [`FlowEngine::run_prepared_faulted_with`] under a fault plan, the
+//! same code monomorphized twice. A payload sweep or a serving batch is
+//! a loop over these calls on one reused [`SimScratch`].
+//! [`FlowEngine::run_prepared_fair_with`] swaps FIFO link service for
+//! max-min fair sharing.
 
 use crate::config::NetworkConfig;
 use crate::fault::{CompiledFaults, FaultEvent, FaultPlan, FaultReport, FaultedRun, NO_FAULTS};
 use crate::flowctrl::frame_message;
 use crate::observer::{NoopObserver, ObservedEngine, RunInfo, SimObserver};
 use crate::report::{EngineDetail, EngineReport, SimReport};
-use crate::scratch::{pack_key, reset_to, Key, MinQueue, SimScratch};
-use crate::shard::ShardPlan;
+use crate::scratch::{reset_to, Key, MinQueue, SimScratch};
 use crate::Engine;
 use multitree::{AlgorithmError, CommSchedule, PreparedSchedule};
 use mt_topology::{LinkId, Topology};
@@ -67,64 +74,12 @@ impl FlowEngine {
         scratch: &mut SimScratch,
         obs: &mut O,
     ) -> Result<EngineReport, AlgorithmError> {
-        let (sim, _) = self.run_prepared_impl::<O, false>(
-            prep,
-            total_bytes,
-            scratch,
-            obs,
-            &NO_FAULTS,
-            &[],
-            false,
-        )?;
+        let (sim, _) =
+            self.run_prepared_impl::<O, false>(prep, total_bytes, scratch, obs, &NO_FAULTS, &[])?;
         Ok(EngineReport {
             sim,
             detail: EngineDetail::Flow,
         })
-    }
-
-    /// Executes an already-prepared schedule once per payload size in
-    /// `payloads` — the serving daemon's coalesced-batch hot path, and
-    /// the in-process shape of a fig9/fig10-style payload ladder.
-    ///
-    /// Everything payload-independent is paid once for the whole sweep:
-    /// the prepared CSR/bottleneck tables are indexed from one borrow,
-    /// `scratch` stays warm between runs, and when a payload repeats its
-    /// predecessor the wire framings and lockstep gates — a pure
-    /// function of `(prep, payload)` — are kept instead of refilled.
-    /// Per-payload reports are byte-identical to N independent
-    /// [`FlowEngine::run_prepared_with`] calls.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AlgorithmError::MalformedSchedule`] if a run deadlocks;
-    /// payloads after the failing one are not attempted.
-    pub fn run_prepared_batch_with<O: SimObserver>(
-        &self,
-        prep: &PreparedSchedule<'_>,
-        payloads: &[u64],
-        scratch: &mut SimScratch,
-        obs: &mut O,
-    ) -> Result<Vec<EngineReport>, AlgorithmError> {
-        let mut reports = Vec::with_capacity(payloads.len());
-        let mut framed: Option<u64> = None;
-        for &total_bytes in payloads {
-            let reuse = framed == Some(total_bytes);
-            let (sim, _) = self.run_prepared_impl::<O, false>(
-                prep,
-                total_bytes,
-                scratch,
-                obs,
-                &NO_FAULTS,
-                &[],
-                reuse,
-            )?;
-            framed = Some(total_bytes);
-            reports.push(EngineReport {
-                sim,
-                detail: EngineDetail::Flow,
-            });
-        }
-        Ok(reports)
     }
 
     /// Executes a prepared schedule under a [`FaultPlan`]: links die,
@@ -164,7 +119,6 @@ impl FlowEngine {
             obs,
             &faults,
             &fault_times,
-            false,
         )?;
         Ok(FaultedRun {
             report: EngineReport {
@@ -223,8 +177,15 @@ impl Engine for FlowEngine {
     ) -> Result<SimReport, AlgorithmError> {
         let prep = PreparedSchedule::new(schedule, topo)?;
         let mut scratch = SimScratch::new();
-        self.run_prepared_impl::<_, false>(&prep, total_bytes, &mut scratch, &mut NoopObserver, &NO_FAULTS, &[], false)
-            .map(|(sim, _)| sim)
+        self.run_prepared_impl::<_, false>(
+            &prep,
+            total_bytes,
+            &mut scratch,
+            &mut NoopObserver,
+            &NO_FAULTS,
+            &[],
+        )
+        .map(|(sim, _)| sim)
     }
 }
 
@@ -325,12 +286,6 @@ impl FlowEngine {
     /// `faults` tables are never read and every fault branch folds away,
     /// so the healthy paths cost exactly what they did before faults
     /// existed.
-    ///
-    /// `reuse_framings` skips the framing/gate fill: only the batch
-    /// entry sets it, and only when `scratch` provably holds the tables
-    /// for exactly this `(prep, total_bytes, F)` — the immediately
-    /// preceding run of the same sweep.
-    #[allow(clippy::too_many_arguments)]
     fn run_prepared_impl<O: SimObserver, const F: bool>(
         &self,
         prep: &PreparedSchedule<'_>,
@@ -339,7 +294,6 @@ impl FlowEngine {
         obs: &mut O,
         faults: &CompiledFaults,
         fault_times: &[f64],
-        reuse_framings: bool,
     ) -> Result<(SimReport, Option<FaultReport>), AlgorithmError> {
         let topo = prep.topology();
         let cfg = &self.cfg;
@@ -360,9 +314,7 @@ impl FlowEngine {
             }
         }
 
-        if !reuse_framings {
-            self.fill_framings_and_gates::<F>(prep, total_bytes, scratch, faults);
-        }
+        self.fill_framings_and_gates::<F>(prep, total_bytes, scratch, faults);
         let framings = &scratch.framings;
         let gates = &scratch.gates;
 
@@ -558,275 +510,6 @@ impl FlowEngine {
             },
             fault_report,
         ))
-    }
-
-    /// Executes a prepared schedule through **per-shard event queues**
-    /// instead of one global ready heap: events live in the queue of
-    /// their source node's shard (per `plan`), and the scheduler drains
-    /// the current shard in bursts, re-synchronizing across shards only
-    /// when another shard could hold an earlier event.
-    ///
-    /// Results are **bit-identical** to
-    /// [`FlowEngine::run_prepared_with`] for *any* shard count,
-    /// including the observer callback order: the burst bound is
-    /// maintained so that every popped event is still the global
-    /// `(time, id)` minimum, so the execution order — and therefore
-    /// every float in the report — is exactly the single-queue order.
-    /// What sharding buys is structural: each heap is a fraction of the
-    /// global size (cheaper sift operations, better locality), and
-    /// within a burst the scheduler touches only one shard's queue — on
-    /// pod-local schedules like the hierarchical MultiTree's intra-pod
-    /// phases, bursts span whole subtrees. `ShardPlan::new(topo, 1)`
-    /// degenerates to the single-queue engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `plan` was built for a different number of nodes than
-    /// `prep`'s topology.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AlgorithmError::MalformedSchedule`] if the simulation
-    /// deadlocks (a dependency cycle hidden from static validation).
-    pub fn run_prepared_sharded_with<O: SimObserver>(
-        &self,
-        prep: &PreparedSchedule<'_>,
-        total_bytes: u64,
-        scratch: &mut SimScratch,
-        plan: &ShardPlan,
-        obs: &mut O,
-    ) -> Result<EngineReport, AlgorithmError> {
-        let sim = self.run_prepared_sharded_impl(prep, total_bytes, scratch, plan, obs)?;
-        Ok(EngineReport {
-            sim,
-            detail: EngineDetail::Flow,
-        })
-    }
-
-    /// The sharded twin of the healthy `run_prepared_impl` loop. Kept as
-    /// a separate copy — like the reference/fast pairs elsewhere in this
-    /// workspace — so the flat hot loop stays untouched and the
-    /// differential tests can pit the two against each other.
-    fn run_prepared_sharded_impl<O: SimObserver>(
-        &self,
-        prep: &PreparedSchedule<'_>,
-        total_bytes: u64,
-        scratch: &mut SimScratch,
-        plan: &ShardPlan,
-        obs: &mut O,
-    ) -> Result<SimReport, AlgorithmError> {
-        let topo = prep.topology();
-        assert_eq!(
-            plan.num_nodes(),
-            topo.num_nodes(),
-            "ShardPlan was built for a different topology"
-        );
-        let cfg = &self.cfg;
-        let flit_ns = cfg.flit_time_ns();
-        let events = prep.events();
-
-        if O::ENABLED {
-            obs.on_run_start(&RunInfo {
-                engine: ObservedEngine::Flow,
-                cfg,
-                prep,
-                total_bytes,
-            });
-        }
-
-        self.fill_framings_and_gates::<false>(prep, total_bytes, scratch, &NO_FAULTS);
-
-        // Home shard of each event = shard of its source node.
-        scratch.shard_home.clear();
-        scratch.shard_home.extend(
-            (0..events.len())
-                .map(|i| plan.shard_of_node(mt_topology::NodeId::new(prep.src_index(i))) as u32),
-        );
-        if scratch.shard_heaps.len() != plan.num_shards() {
-            scratch.shard_heaps.resize_with(plan.num_shards(), MinQueue::default);
-        }
-        for h in &mut scratch.shard_heaps {
-            h.clear();
-        }
-
-        let framings = &scratch.framings;
-        let gates = &scratch.gates;
-
-        reset_to(&mut scratch.link_free, topo.num_links(), 0.0f64);
-        reset_to(&mut scratch.node_free, topo.num_nodes(), 0.0f64);
-        scratch.remaining_deps.clear();
-        scratch
-            .remaining_deps
-            .extend((0..events.len()).map(|i| prep.indegree(i)));
-        let link_free = &mut scratch.link_free;
-        let node_free = &mut scratch.node_free;
-        let remaining_deps = &mut scratch.remaining_deps;
-        reset_to(&mut scratch.ready_at, events.len(), 0.0f64);
-        let ready_at = &mut scratch.ready_at;
-        let mut ready = ShardedReady {
-            heaps: &mut scratch.shard_heaps,
-            home: &scratch.shard_home,
-            cur: 0,
-            bound: 0, // below any real key: the first pop rescans
-        };
-        for i in 0..events.len() {
-            if remaining_deps[i] == 0 {
-                let t = gates[prep.step(i) as usize];
-                ready_at[i] = t;
-                ready.push(Key(t, i));
-            }
-        }
-
-        reset_to(&mut scratch.used, topo.num_links(), false);
-        let used = &mut scratch.used;
-
-        let mut done = 0usize;
-        let mut completion: f64 = 0.0;
-        let mut flits_sent = 0u64;
-        let mut head_flits = 0u64;
-        let mut flit_hops = 0u64;
-        let mut head_flit_hops = 0u64;
-        let mut busy_ns = 0.0f64;
-        let hop_ns = cfg.link_latency_ns + f64::from(cfg.router_pipeline_cycles) * cfg.cycle_ns();
-
-        while let Some(Key(t0, i)) = ready.pop() {
-            let src = prep.src_index(i);
-            let t = t0.max(node_free[src]) + cfg.sw_launch_overhead_ns;
-            if cfg.sw_launch_overhead_ns > 0.0 {
-                node_free[src] = t;
-            }
-            if O::ENABLED {
-                obs.on_flow_event_start(t, i as u32, prep.step(i));
-            }
-            let framing = framings[i];
-            let flits = framing.total_flits();
-            flits_sent += flits;
-            head_flits += framing.head_flits;
-            let path = prep.path(i);
-            flit_hops += flits * path.len() as u64;
-            head_flit_hops += framing.head_flits * path.len() as u64;
-
-            let mut head_arrival = t;
-            let mut last_start = t;
-            let mut last_ser = 0.0;
-            for (l, &cap) in path.iter().zip(prep.path_capacities(i)) {
-                let ser = flits as f64 * flit_ns / cap;
-                let start = head_arrival.max(link_free[l.index()]);
-                link_free[l.index()] = start + ser;
-                head_arrival = start + hop_ns;
-                last_start = start;
-                last_ser = ser;
-                busy_ns += ser;
-                used[l.index()] = true;
-                if O::ENABLED {
-                    obs.on_flow_link_busy(l.index() as u32, start, ser);
-                }
-            }
-            let delivery = if path.is_empty() {
-                t
-            } else {
-                last_start + hop_ns + last_ser
-            };
-            if O::ENABLED {
-                obs.on_flow_event_finish(delivery, i as u32, prep.step(i));
-            }
-            completion = completion.max(delivery);
-            done += 1;
-
-            for &dep_idx in prep.dependents(i) {
-                let dep_idx = dep_idx as usize;
-                remaining_deps[dep_idx] -= 1;
-                ready_at[dep_idx] = ready_at[dep_idx].max(delivery);
-                if remaining_deps[dep_idx] == 0 {
-                    let start = ready_at[dep_idx].max(gates[prep.step(dep_idx) as usize]);
-                    ready.push(Key(start, dep_idx));
-                }
-            }
-        }
-
-        if done != events.len() {
-            return Err(AlgorithmError::MalformedSchedule {
-                detail: format!(
-                    "simulation deadlocked: {} of {} events never became ready",
-                    events.len() - done,
-                    events.len()
-                ),
-            });
-        }
-
-        if O::ENABLED {
-            obs.on_run_end(completion);
-        }
-        Ok(SimReport {
-            total_bytes,
-            completion_ns: completion,
-            flits_sent,
-            head_flits,
-            messages: events.len(),
-            flit_hops,
-            head_flit_hops,
-            links_used: used.iter().filter(|&&u| u).count(),
-            total_links: topo.num_links(),
-            busy_ns,
-        })
-    }
-}
-
-/// Per-shard ready queues that pop in exact global `(time, id)` order.
-///
-/// `cur` is the shard being drained; `bound` is a lower bound on every
-/// key held by *other* shards (seeded by a full rescan, then tightened
-/// on each push that lands off-shard). While the current shard's top is
-/// strictly below `bound`, it is strictly below every other shard's
-/// minimum and can be popped without looking at them — that's the
-/// burst. When the top reaches `bound`, one rescan over the shard tops
-/// re-elects the minimum shard and the runner-up becomes the new bound.
-/// Pushed keys never sort before the key being processed (simulation
-/// time is monotone), so the invariant survives pushes into `cur`, and
-/// keys are unique (event id in the low bits), so strict `<` never
-/// skips a tie. Net effect: identical pop sequence to one global heap,
-/// with rescans only at genuine cross-shard hand-offs.
-struct ShardedReady<'a> {
-    heaps: &'a mut [MinQueue],
-    home: &'a [u32],
-    cur: usize,
-    bound: u128,
-}
-
-impl ShardedReady<'_> {
-    fn push(&mut self, k: Key) {
-        let h = self.home[k.1] as usize;
-        self.heaps[h].push(k);
-        if h != self.cur {
-            self.bound = self.bound.min(pack_key(k));
-        }
-    }
-
-    fn pop(&mut self) -> Option<Key> {
-        if let Some(top) = self.heaps[self.cur].peek_packed() {
-            if top < self.bound {
-                return self.heaps[self.cur].pop();
-            }
-        }
-        // Burst over: re-elect the minimum shard; the runner-up top
-        // bounds how long the next burst may run.
-        let mut best: Option<(u128, usize)> = None;
-        let mut second = u128::MAX;
-        for (s, h) in self.heaps.iter().enumerate() {
-            let Some(p) = h.peek_packed() else { continue };
-            match best {
-                None => best = Some((p, s)),
-                Some((bp, _)) if p < bp => {
-                    second = bp;
-                    best = Some((p, s));
-                }
-                Some(_) => second = second.min(p),
-            }
-        }
-        let (_, s) = best?;
-        self.cur = s;
-        self.bound = second;
-        self.heaps[s].pop()
     }
 }
 

@@ -19,10 +19,15 @@
 //! message-based flow control (one head flit per gradient message), and
 //! reproduces the head-flit overhead of Fig. 2.
 //!
-//! Both engines execute through one generic entry point,
-//! `run_prepared_with`, parameterized by a zero-cost [`SimObserver`]
-//! ([`observer`]): pass [`NoopObserver`] for the bare hot loop, or a
-//! telemetry observer ([`telemetry::LinkTimeline`],
+//! Each engine runs a prepared schedule one way: `run_prepared_with`
+//! for a healthy run and `run_prepared_faulted_with` under a
+//! [`FaultPlan`], both one flat event loop per payload. A sweep or a
+//! batch of payloads is a loop over these calls on one reused
+//! [`SimScratch`]. The flow engine also offers `run_prepared_fair_with`,
+//! a different contention model (max-min fair sharing), not a faster
+//! copy of the FIFO run. Both calls are parameterized by a zero-cost
+//! [`SimObserver`] ([`observer`]): pass [`NoopObserver`] for the bare
+//! hot loop, or a telemetry observer ([`telemetry::LinkTimeline`],
 //! [`telemetry::PhaseProfile`], or a tuple of both) for time-resolved
 //! per-link utilization and per-step phase accounting. Results come back
 //! as one [`EngineReport`] (shared [`SimReport`] core + engine detail)
@@ -58,7 +63,6 @@ pub mod nic;
 pub mod observer;
 mod report;
 mod scratch;
-pub mod shard;
 pub mod synthetic;
 pub mod telemetry;
 
@@ -68,7 +72,6 @@ pub use fault::{CompiledFaults, FaultEvent, FaultPlan, FaultReport, FaultedRun};
 pub use observer::{NoopObserver, ObservedEngine, RunInfo, SimObserver};
 pub use report::{EngineDetail, EngineReport, SimReport};
 pub use scratch::SimScratch;
-pub use shard::ShardPlan;
 
 use multitree::{AlgorithmError, CommSchedule};
 use mt_topology::Topology;

@@ -72,73 +72,67 @@ fn reused_scratch_is_bit_identical_to_fresh_across_pairs() {
     }
 }
 
-#[test]
-fn batch_sweep_matches_individual_runs() {
-    // the serving daemon's coalesced batches execute through the sweep
-    // entry points; every payload's report must be bit-identical to an
-    // independent run, including repeated payloads (where the flow
-    // engine skips re-framing) and descending ladders
-    let items = workload();
-    let payload_ladder = |base: u64| vec![base, base, base / 2, base, base / 4, base / 4];
-    let mut scratch = SimScratch::new();
-    for item in &items {
-        let prep = PreparedSchedule::new(&item.0, &item.1).unwrap();
-        let payloads = payload_ladder(item.2);
-        let flow = FlowEngine::new(NetworkConfig::paper_default());
-        let swept = flow
-            .run_prepared_batch_with(&prep, &payloads, &mut scratch, &mut NoopObserver)
-            .unwrap();
-        assert_eq!(swept.len(), payloads.len());
-        for (&p, report) in payloads.iter().zip(&swept) {
-            let single = flow
-                .run_prepared_with(&prep, p, &mut SimScratch::new(), &mut NoopObserver)
-                .unwrap();
-            assert_eq!(*report, single, "flow payload {p}");
-        }
-        let cycle = CycleEngine::new(NetworkConfig::paper_default());
-        let swept = cycle
-            .run_prepared_batch_with(&prep, &payloads, &mut scratch, &mut NoopObserver)
-            .unwrap();
-        for (&p, report) in payloads.iter().zip(&swept) {
-            let single = cycle
-                .run_prepared_with(&prep, p, &mut SimScratch::new(), &mut NoopObserver)
-                .unwrap();
-            assert_eq!(*report, single, "cycle payload {p}");
-        }
-    }
-    // an empty sweep is legal and does nothing
-    let prep = PreparedSchedule::new(&items[0].0, &items[0].1).unwrap();
-    let none = FlowEngine::new(NetworkConfig::paper_default())
-        .run_prepared_batch_with(&prep, &[], &mut scratch, &mut NoopObserver)
-        .unwrap();
-    assert!(none.is_empty());
+/// A same-key payload ladder with repeats and descents, the shape the
+/// serving daemon's coalesced batches run member by member.
+fn payload_ladder(base: u64) -> [u64; 6] {
+    [base, base, base / 2, base, base / 4, base / 4]
 }
 
 #[test]
-fn batch_sweep_steady_state_allocates_nothing() {
+fn payload_ladder_on_one_scratch_matches_fresh_runs() {
+    // the serving daemon runs every member of a coalesced batch through
+    // `run_prepared_with` on one scratch; each report must be
+    // bit-identical to an independent run on a fresh scratch, for
+    // repeated payloads and descending ladders alike
     let items = workload();
+    let flow = FlowEngine::new(NetworkConfig::paper_default());
+    let cycle = CycleEngine::new(NetworkConfig::paper_default());
     let mut scratch = SimScratch::new();
-    let payloads: Vec<Vec<u64>> = items.iter().map(|i| vec![i.2, i.2 / 2, i.2, i.2]).collect();
-    for (item, p) in items.iter().zip(&payloads) {
+    for item in &items {
         let prep = PreparedSchedule::new(&item.0, &item.1).unwrap();
-        FlowEngine::new(NetworkConfig::paper_default())
-            .run_prepared_batch_with(&prep, p, &mut scratch, &mut NoopObserver)
-            .unwrap();
-        CycleEngine::new(NetworkConfig::paper_default())
-            .run_prepared_batch_with(&prep, p, &mut scratch, &mut NoopObserver)
-            .unwrap();
+        for p in payload_ladder(item.2) {
+            let reused = flow
+                .run_prepared_with(&prep, p, &mut scratch, &mut NoopObserver)
+                .unwrap();
+            let single = flow
+                .run_prepared_with(&prep, p, &mut SimScratch::new(), &mut NoopObserver)
+                .unwrap();
+            assert_eq!(reused, single, "flow payload {p}");
+        }
+        for p in payload_ladder(item.2) {
+            let reused = cycle
+                .run_prepared_with(&prep, p, &mut scratch, &mut NoopObserver)
+                .unwrap();
+            let single = cycle
+                .run_prepared_with(&prep, p, &mut SimScratch::new(), &mut NoopObserver)
+                .unwrap();
+            assert_eq!(reused, single, "cycle payload {p}");
+        }
     }
+}
+
+#[test]
+fn payload_ladder_steady_state_allocates_nothing() {
+    let items = workload();
+    let flow = FlowEngine::new(NetworkConfig::paper_default());
+    let cycle = CycleEngine::new(NetworkConfig::paper_default());
+    let mut scratch = SimScratch::new();
+    let run_ladders = |scratch: &mut SimScratch| {
+        for item in &items {
+            let prep = PreparedSchedule::new(&item.0, &item.1).unwrap();
+            for p in [item.2, item.2 / 2, item.2, item.2] {
+                flow.run_prepared_with(&prep, p, scratch, &mut NoopObserver)
+                    .unwrap();
+                cycle
+                    .run_prepared_with(&prep, p, scratch, &mut NoopObserver)
+                    .unwrap();
+            }
+        }
+    };
+    run_ladders(&mut scratch);
     let high_water = scratch.capacity_elements();
     for round in 0..3 {
-        for (item, p) in items.iter().zip(&payloads) {
-            let prep = PreparedSchedule::new(&item.0, &item.1).unwrap();
-            FlowEngine::new(NetworkConfig::paper_default())
-                .run_prepared_batch_with(&prep, p, &mut scratch, &mut NoopObserver)
-                .unwrap();
-            CycleEngine::new(NetworkConfig::paper_default())
-                .run_prepared_batch_with(&prep, p, &mut scratch, &mut NoopObserver)
-                .unwrap();
-        }
+        run_ladders(&mut scratch);
         assert_eq!(
             scratch.capacity_elements(),
             high_water,

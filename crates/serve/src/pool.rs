@@ -11,8 +11,8 @@
 //! the oldest job plus every other queued run with the same
 //! [`ScheduleKey`] (up to [`ServeConfig::max_batch`]), in queue order.
 //! The whole batch then shares one cache resolve, one `PreparedData`
-//! borrow and one scratch, and its healthy members execute through the
-//! engines' sweep entry points (`run_prepared_batch_with`) — so at high
+//! borrow and one scratch, and each member then runs in queue order
+//! through the same engine call an unbatched request makes — so at high
 //! hit ratios the per-request cost collapses to the engine run itself.
 //! Batching never changes results: simulated fields are byte-identical
 //! to `max_batch = 1`, and hit/miss counters reconcile exactly because
@@ -33,7 +33,9 @@ use multitree::algorithms::RepairStrategy;
 use multitree::PreparedSchedule;
 use mt_netsim::cycle::CycleEngine;
 use mt_netsim::flow::FlowEngine;
-use mt_netsim::{EngineReport, FaultEvent, FaultPlan, NetworkConfig, NoopObserver, SimScratch};
+use mt_netsim::{
+    EngineReport, FaultEvent, FaultPlan, FaultedRun, NetworkConfig, NoopObserver, SimScratch,
+};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
@@ -162,9 +164,9 @@ impl ServeState {
     }
 
     /// The batch-native run path: one cache resolve, one `PreparedData`
-    /// borrow, one scratch, the whole payload set. Every run in `runs`
-    /// shares one schedule key (the queue's coalescing invariant; a
-    /// single-element batch is the unbatched case). Responses are
+    /// borrow, one scratch, then one engine run per member. Every run in
+    /// `runs` shares one schedule key (the queue's coalescing invariant;
+    /// a single-element batch is the unbatched case). Responses are
     /// byte-identical in their simulated fields to executing the runs
     /// one by one, in order.
     fn handle_run_batch(&self, runs: &[&RunRequest], scratch: &mut SimScratch) -> Vec<Response> {
@@ -223,96 +225,31 @@ impl ServeState {
         let follow_label = provenance_label(CacheOutcome::Hit, entry.provenance);
         let occupancy = runs.len() as u64;
         let prep = entry.prepared();
-        let respond = |report: &EngineReport,
-                       label: &str,
-                       delivered: u64,
-                       messages: u64,
-                       stalled: bool| {
-            Response::Run(RunResponse {
-                key: digest.clone(),
-                provenance: label.to_string(),
-                verified: entry.verified,
-                completion_ns: report.sim.completion_ns,
-                delivered,
-                messages,
-                flits_sent: report.sim.flits_sent,
-                stalled,
-                batch: occupancy,
-            })
-        };
 
-        // healthy runs group into one sweep per engine (the batch hot
-        // path); runs carrying runtime-only fault events keep their
-        // individual faulted execution, exactly as unbatched. Permanent
+        // every valid member runs in queue order through one call; runs
+        // carrying runtime-only fault events run faulted. Permanent
         // deaths are structural — baked into the cached (repaired)
         // schedule — so only flaps and degrades reach the engines here.
-        let mut sweeps: [Vec<(usize, &str)>; 2] = [Vec::new(), Vec::new()];
         for (slot, &i) in valid.iter().enumerate() {
             let run = runs[i];
-            let label: &str = if slot == 0 { &first_label } else { &follow_label };
-            match (run.engine, run.faults.as_ref().and_then(runtime_only_plan)) {
-                (EngineSpec::Flow, None) => sweeps[0].push((i, label)),
-                (EngineSpec::Cycle, None) => sweeps[1].push((i, label)),
-                (engine, Some(plan)) => {
-                    responses[i] = Some(
-                        match self.execute_faulted(
-                            engine,
-                            &prep,
-                            run.payload_bytes,
-                            &plan,
-                            scratch,
-                        ) {
-                            Ok((report, delivered, messages, stalled)) => {
-                                respond(&report, label, delivered, messages, stalled)
-                            }
-                            Err(detail) => reject(detail),
-                        },
-                    );
-                }
-            }
-        }
-        for (which, sweep) in sweeps.iter().enumerate() {
-            if sweep.is_empty() {
-                continue;
-            }
-            let engine = [EngineSpec::Flow, EngineSpec::Cycle][which];
-            let payloads: Vec<u64> = sweep.iter().map(|&(i, _)| runs[i].payload_bytes).collect();
-            let mut obs = NoopObserver;
-            let swept = match engine {
-                EngineSpec::Flow => FlowEngine::new(self.config.network)
-                    .run_prepared_batch_with(&prep, &payloads, scratch, &mut obs),
-                EngineSpec::Cycle => CycleEngine::new(self.config.network)
-                    .run_prepared_batch_with(&prep, &payloads, scratch, &mut obs),
-            };
-            match swept {
-                Ok(reports) => {
-                    for (&(i, label), report) in sweep.iter().zip(&reports) {
-                        let m = report.sim.messages as u64;
-                        responses[i] = Some(respond(report, label, m, m, false));
-                    }
-                }
-                Err(_) => {
-                    // a sweep aborts at its first failing payload; rerun
-                    // each member alone so every run gets its own
-                    // verdict, byte-identical to the unbatched path
-                    for &(i, label) in sweep.iter() {
-                        responses[i] = Some(
-                            match self.execute_healthy(
-                                engine,
-                                &prep,
-                                runs[i].payload_bytes,
-                                scratch,
-                            ) {
-                                Ok(report) => {
-                                    let m = report.sim.messages as u64;
-                                    respond(&report, label, m, m, false)
-                                }
-                                Err(detail) => reject(detail),
-                            },
-                        );
-                    }
-                }
-            }
+            let label = if slot == 0 { &first_label } else { &follow_label };
+            let plan = run.faults.as_ref().and_then(runtime_only_plan);
+            responses[i] = Some(
+                match self.execute(run.engine, &prep, run.payload_bytes, plan.as_ref(), scratch) {
+                    Ok((report, delivered, messages, stalled)) => Response::Run(RunResponse {
+                        key: digest.clone(),
+                        provenance: label.clone(),
+                        verified: entry.verified,
+                        completion_ns: report.sim.completion_ns,
+                        delivered,
+                        messages,
+                        flits_sent: report.sim.flits_sent,
+                        stalled,
+                        batch: occupancy,
+                    }),
+                    Err(detail) => reject(detail),
+                },
+            );
         }
 
         responses
@@ -321,45 +258,43 @@ impl ServeState {
             .collect()
     }
 
-    fn execute_healthy(
+    /// Runs one batch member on `engine`: faulted under `runtime_plan`
+    /// when there is one, healthy otherwise. Returns the report with its
+    /// `(delivered, messages, stalled)` verdict; a healthy run delivers
+    /// every message.
+    fn execute(
         &self,
         engine: EngineSpec,
         prep: &PreparedSchedule<'_>,
         payload: u64,
-        scratch: &mut SimScratch,
-    ) -> Result<EngineReport, String> {
-        let mut obs = NoopObserver;
-        match engine {
-            EngineSpec::Flow => FlowEngine::new(self.config.network)
-                .run_prepared_with(prep, payload, scratch, &mut obs),
-            EngineSpec::Cycle => CycleEngine::new(self.config.network)
-                .run_prepared_with(prep, payload, scratch, &mut obs),
-        }
-        .map_err(|e| e.to_string())
-    }
-
-    fn execute_faulted(
-        &self,
-        engine: EngineSpec,
-        prep: &PreparedSchedule<'_>,
-        payload: u64,
-        plan: &FaultPlan,
+        runtime_plan: Option<&FaultPlan>,
         scratch: &mut SimScratch,
     ) -> Result<(EngineReport, u64, u64, bool), String> {
+        let healthy = |report: EngineReport| {
+            let m = report.sim.messages as u64;
+            (report, m, m, false)
+        };
+        let faulted = |run: FaultedRun| {
+            let f = run.faults;
+            (run.report, f.delivered as u64, f.total as u64, f.stalled)
+        };
+        let net = self.config.network;
         let mut obs = NoopObserver;
-        let run = match engine {
-            EngineSpec::Flow => FlowEngine::new(self.config.network)
-                .run_prepared_faulted_with(prep, payload, scratch, plan, &mut obs),
-            EngineSpec::Cycle => CycleEngine::new(self.config.network)
-                .run_prepared_faulted_with(prep, payload, scratch, plan, &mut obs),
+        match (engine, runtime_plan) {
+            (EngineSpec::Flow, None) => FlowEngine::new(net)
+                .run_prepared_with(prep, payload, scratch, &mut obs)
+                .map(healthy),
+            (EngineSpec::Cycle, None) => CycleEngine::new(net)
+                .run_prepared_with(prep, payload, scratch, &mut obs)
+                .map(healthy),
+            (EngineSpec::Flow, Some(plan)) => FlowEngine::new(net)
+                .run_prepared_faulted_with(prep, payload, scratch, plan, &mut obs)
+                .map(faulted),
+            (EngineSpec::Cycle, Some(plan)) => CycleEngine::new(net)
+                .run_prepared_faulted_with(prep, payload, scratch, plan, &mut obs)
+                .map(faulted),
         }
-        .map_err(|e| e.to_string())?;
-        Ok((
-            run.report,
-            run.faults.delivered as u64,
-            run.faults.total as u64,
-            run.faults.stalled,
-        ))
+        .map_err(|e| e.to_string())
     }
 }
 

@@ -13,8 +13,9 @@
 //!
 //! Payload size and engine choice are deliberately *not* part of the
 //! schedule cache key ([`crate::key::ScheduleKey`]): a compiled schedule
-//! is payload-independent (framing is computed per run) and both engines
-//! execute the same prepared artifact, so varying either still hits.
+//! is payload-independent (wire framing is recomputed on every run) and
+//! both engines execute the same prepared artifact, so varying either
+//! still hits.
 
 use multitree::algorithms::{
     Algorithm, AllReduce, Blink, DbTree, HalvingDoubling, Hdrm, HierarchicalMultiTree, MultiTree,

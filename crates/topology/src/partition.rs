@@ -1,4 +1,4 @@
-//! Pod partitioning for hierarchical collectives and sharded simulation.
+//! Pod partitioning for hierarchical collectives.
 //!
 //! A [`Partition`] splits a topology's vertices (nodes **and** switches)
 //! into `P` disjoint *pods*. Two construction modes exist:
@@ -10,9 +10,8 @@
 //!   for direct networks (torus, mesh, hypercube) and custom graphs.
 //!
 //! Both are fully deterministic: the same topology and pod count always
-//! produce the same assignment, which is what lets the sharded flow engine
-//! promise byte-identical output for any shard count and what makes
-//! hierarchical schedule construction reproducible.
+//! produce the same assignment, which is what makes hierarchical
+//! schedule construction reproducible.
 //!
 //! Every pod designates a *representative* (its lowest node id); the
 //! hierarchical MultiTree composition reduces each pod onto its

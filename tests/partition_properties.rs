@@ -1,7 +1,6 @@
 //! Property tests for the pod partitioner (`mt_topology::Partition`),
-//! the foundation under both the hierarchical MultiTree composition and
-//! the sharded flow engine. Over every topology family plus seeded
-//! random connected graphs:
+//! the foundation under the hierarchical MultiTree composition. Over
+//! every topology family plus seeded random connected graphs:
 //!
 //! * partitioning is deterministic (same inputs, identical partition);
 //! * the pods cover every node exactly once, and `pod_of_node` agrees

@@ -227,6 +227,31 @@ fn oversized_request_line_is_capped_in_the_read_path() {
 }
 
 #[test]
+fn deeply_nested_line_errors_and_connection_survives() {
+    use std::io::{BufRead, Write};
+    let d = daemon(1);
+    let mut raw = std::net::TcpStream::connect(d.addr()).unwrap();
+    // 20 000 levels of `[` used to overflow the connection thread's
+    // stack in the recursive JSON parser and abort the whole process
+    let mut line = vec![b'['; 20_000];
+    line.push(b'\n');
+    raw.write_all(&line).unwrap();
+    writeln!(raw, "\"Ping\"").unwrap();
+    let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
+    let mut responses = Vec::new();
+    for _ in 0..2 {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        responses.push(serde_json::from_str::<Response>(line.trim()).unwrap());
+    }
+    let Response::Error(e) = &responses[0] else {
+        panic!("expected error, got {:?}", responses[0]);
+    };
+    assert!(e.detail.contains("nesting deeper than 128"), "{}", e.detail);
+    assert!(matches!(responses[1], Response::Pong));
+}
+
+#[test]
 fn malformed_lines_error_in_order_and_connection_survives() {
     let d = daemon(1);
     let mut client = Client::connect(d.addr()).unwrap();
