@@ -23,9 +23,7 @@
 //! for a healthy run and `run_prepared_faulted_with` under a
 //! [`FaultPlan`], both one flat event loop per payload. A sweep or a
 //! batch of payloads is a loop over these calls on one reused
-//! [`SimScratch`]. The flow engine also offers `run_prepared_fair_with`,
-//! a different contention model (max-min fair sharing), not a faster
-//! copy of the FIFO run. Both calls are parameterized by a zero-cost
+//! [`SimScratch`]. Both calls are parameterized by a zero-cost
 //! [`SimObserver`] ([`observer`]): pass [`NoopObserver`] for the bare
 //! hot loop, or a telemetry observer ([`telemetry::LinkTimeline`],
 //! [`telemetry::PhaseProfile`], or a tuple of both) for time-resolved

@@ -48,12 +48,6 @@ impl MinQueue {
         })
     }
 
-    pub(crate) fn peek(&self) -> Option<Key> {
-        self.data.peek().map(|&std::cmp::Reverse(p)| {
-            Key(f64::from_bits((p >> 64) as u64), (p & u128::from(u64::MAX)) as usize)
-        })
-    }
-
     pub(crate) fn capacity(&self) -> usize {
         self.data.capacity()
     }
@@ -88,8 +82,6 @@ pub struct SimScratch {
     pub(crate) heap: MinQueue,
     /// The cycle engine's buffers, calendars, worklists and NI tables.
     pub(crate) cycle: crate::cycle::CycleScratch,
-    /// The fair-share flow variant's queues and per-flow/per-link state.
-    pub(crate) fair: crate::flow::FairScratch,
 }
 
 impl SimScratch {
@@ -112,7 +104,6 @@ impl SimScratch {
             + self.framings.capacity()
             + self.heap.capacity()
             + self.cycle.capacity_elements()
-            + self.fair.capacity_elements()
     }
 }
 

@@ -35,11 +35,8 @@
 //!   cold on the degraded view, exactly like the `fault_sweep`
 //!   baselines.
 //!
-//! Telemetry is observer-style ([`CacheObserver`]), but unlike the
-//! engines' `SimObserver` — which is monomorphized into hot loops via
-//! `const ENABLED` — this one is dynamically dispatched: cache events
-//! happen per request, not per flit, so a virtual call is noise next to
-//! a schedule execution and dyn keeps daemon plumbing monomorphic-free.
+//! The cache counts what it does in [`CacheCounters`], snapshot into the
+//! daemon's `Stats` responses.
 
 use crate::key::{FaultKey, ScheduleKey};
 use crate::protocol::AlgorithmSpec;
@@ -146,44 +143,9 @@ impl CachedSchedule {
     }
 }
 
-/// Cache telemetry hooks. All default to no-ops; implementations must be
-/// thread-safe (workers fire them concurrently).
-pub trait CacheObserver: Send + Sync {
-    /// A request was answered from a ready entry.
-    fn on_hit(&self, _key: &ScheduleKey) {}
-    /// A request found no entry and will compile one.
-    fn on_miss(&self, _key: &ScheduleKey) {}
-    /// A request piggybacked on a compile already in flight.
-    fn on_coalesced(&self, _key: &ScheduleKey) {}
-    /// A compiled entry was inserted.
-    fn on_insert(&self, _key: &ScheduleKey, _bytes: usize) {}
-    /// A ready entry was evicted by the byte-budget LRU.
-    fn on_evict(&self, _key: &ScheduleKey, _bytes: usize) {}
-    /// A fault-delta compile resolved through the repair chain.
-    fn on_repair(&self, _key: &ScheduleKey, _strategy: RepairStrategy) {}
-    /// A compile failed; the error is propagated to all waiters.
-    fn on_error(&self, _key: &ScheduleKey, _detail: &str) {}
-    /// A worker executed one coalesced batch of `occupancy` same-key
-    /// runs (an unbatched run is a batch of 1, so summing occupancies
-    /// reconciles exactly with the number of runs served).
-    fn on_batch(&self, _key: &ScheduleKey, _occupancy: usize) {}
-}
-
-/// Buckets in [`CountingCacheObserver`]'s batch-occupancy histogram:
-/// bucket `i` counts batches of occupancy `i + 1`, the last bucket
-/// absorbing anything larger.
-pub const BATCH_HIST_BUCKETS: usize = 16;
-
-/// The no-telemetry observer.
+/// The cache's event counters. Workers bump them concurrently.
 #[derive(Debug, Default)]
-pub struct NoopCacheObserver;
-
-impl CacheObserver for NoopCacheObserver {}
-
-/// Atomic counters implementing [`CacheObserver`] — the daemon's default
-/// telemetry, snapshot into `Stats` responses.
-#[derive(Debug, Default)]
-pub struct CountingCacheObserver {
+pub struct CacheCounters {
     /// Ready-entry answers.
     pub hits: AtomicU64,
     /// Compiles started.
@@ -200,46 +162,10 @@ pub struct CountingCacheObserver {
     pub repairs_survivor: AtomicU64,
     /// Failed compiles.
     pub errors: AtomicU64,
-    /// Coalesced batches executed by the worker pool.
-    pub batches: AtomicU64,
-    /// Runs executed inside those batches (the sum of occupancies —
-    /// every run lands in exactly one batch, so this equals the total
-    /// runs served).
-    pub batched_runs: AtomicU64,
-    /// Batch occupancy histogram (see [`BATCH_HIST_BUCKETS`]).
-    pub batch_occupancy: [AtomicU64; BATCH_HIST_BUCKETS],
 }
 
-impl CacheObserver for CountingCacheObserver {
-    fn on_hit(&self, _key: &ScheduleKey) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-    fn on_miss(&self, _key: &ScheduleKey) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-    fn on_coalesced(&self, _key: &ScheduleKey) {
-        self.coalesced.fetch_add(1, Ordering::Relaxed);
-    }
-    fn on_evict(&self, _key: &ScheduleKey, _bytes: usize) {
-        self.evictions.fetch_add(1, Ordering::Relaxed);
-    }
-    fn on_repair(&self, _key: &ScheduleKey, strategy: RepairStrategy) {
-        let ctr = match strategy {
-            RepairStrategy::Incremental => &self.repairs_incremental,
-            RepairStrategy::FullRebuild => &self.repairs_full_rebuild,
-            RepairStrategy::SurvivorSubset => &self.repairs_survivor,
-        };
-        ctr.fetch_add(1, Ordering::Relaxed);
-    }
-    fn on_error(&self, _key: &ScheduleKey, _detail: &str) {
-        self.errors.fetch_add(1, Ordering::Relaxed);
-    }
-    fn on_batch(&self, _key: &ScheduleKey, occupancy: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_runs.fetch_add(occupancy as u64, Ordering::Relaxed);
-        let bucket = occupancy.clamp(1, BATCH_HIST_BUCKETS) - 1;
-        self.batch_occupancy[bucket].fetch_add(1, Ordering::Relaxed);
-    }
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
 }
 
 /// How a request resolved against the cache.
@@ -277,13 +203,13 @@ struct Inner {
 pub struct ScheduleCache {
     inner: Mutex<Inner>,
     max_bytes: usize,
-    observer: Arc<dyn CacheObserver>,
+    counters: CacheCounters,
 }
 
 impl ScheduleCache {
     /// Creates a cache holding at most `max_bytes` of compiled
-    /// artifacts, reporting events to `observer`.
-    pub fn new(max_bytes: usize, observer: Arc<dyn CacheObserver>) -> Self {
+    /// artifacts.
+    pub fn new(max_bytes: usize) -> Self {
         ScheduleCache {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
@@ -291,8 +217,13 @@ impl ScheduleCache {
                 tick: 0,
             }),
             max_bytes,
-            observer,
+            counters: CacheCounters::default(),
         }
+    }
+
+    /// The cache's event counters.
+    pub fn counters(&self) -> &CacheCounters {
+        &self.counters
     }
 
     /// Bytes currently charged for ready entries.
@@ -333,7 +264,7 @@ impl ScheduleCache {
             if faults.is_healthy() {
                 Self::compile_healthy(spec, algorithm)
             } else {
-                self.compile_faulted(&key, spec, algorithm, &faults)
+                self.compile_faulted(spec, algorithm, &faults)
             }
         })
     }
@@ -358,13 +289,13 @@ impl ScheduleCache {
                     *last_used = tick;
                     let entry = Arc::clone(entry);
                     drop(inner);
-                    self.observer.on_hit(key);
+                    bump(&self.counters.hits);
                     return Ok((entry, CacheOutcome::Hit));
                 }
                 Some(Slot::Pending(p)) => {
                     let p = Arc::clone(p);
                     drop(inner);
-                    self.observer.on_coalesced(key);
+                    bump(&self.counters.coalesced);
                     let mut done = p.done.lock().expect("pending lock");
                     while done.is_none() {
                         done = p.cv.wait(done).expect("pending lock");
@@ -386,7 +317,7 @@ impl ScheduleCache {
                 }
             }
         }
-        self.observer.on_miss(key);
+        bump(&self.counters.misses);
 
         // A panicking compile must behave like a failed one: if the
         // unwind escaped here it would leave the Pending slot in place
@@ -418,13 +349,12 @@ impl ScheduleCache {
                             last_used: tick,
                         },
                     );
-                    self.observer.on_insert(key, entry.bytes());
                     self.evict_lru(&mut inner, key);
                 }
-                Err(detail) => {
+                Err(_) => {
                     // drop the pending slot so a later request retries
                     inner.map.remove(key);
-                    self.observer.on_error(key, detail);
+                    bump(&self.counters.errors);
                 }
             }
         }
@@ -451,7 +381,7 @@ impl ScheduleCache {
                 *last_used = tick;
             }
         }
-        self.observer.on_hit(key);
+        bump(&self.counters.hits);
     }
 
     /// Evicts ready entries (never pending ones, never `keep`) until the
@@ -468,7 +398,7 @@ impl ScheduleCache {
             let Some(victim_key) = victim else { break };
             if let Some(Slot::Ready { entry, .. }) = inner.map.remove(&victim_key) {
                 inner.total_bytes -= entry.bytes();
-                self.observer.on_evict(&victim_key, entry.bytes());
+                bump(&self.counters.evictions);
             }
         }
     }
@@ -502,7 +432,6 @@ impl ScheduleCache {
 
     fn compile_faulted(
         &self,
-        key: &ScheduleKey,
         spec: &TopologySpec,
         algorithm: AlgorithmSpec,
         faults: &FaultKey,
@@ -520,9 +449,13 @@ impl ScheduleCache {
                 .ok_or("healthy base entry is missing its forest")?;
             let r = repair_multitree(&mt, &base.topology, forest, &dead_links, &dead_nodes)
                 .map_err(|e| e.to_string())?;
-            self.observer.on_repair(key, r.report.strategy);
             let verified = r.report.verified;
             let strategy = r.report.strategy;
+            bump(match strategy {
+                RepairStrategy::Incremental => &self.counters.repairs_incremental,
+                RepairStrategy::FullRebuild => &self.counters.repairs_full_rebuild,
+                RepairStrategy::SurvivorSubset => &self.counters.repairs_survivor,
+            });
             CachedSchedule::assemble(
                 r.topology,
                 r.schedule,
@@ -585,15 +518,9 @@ fn choose_victim(
 mod tests {
     use super::*;
 
-    fn counting_cache(max_bytes: usize) -> (Arc<CountingCacheObserver>, ScheduleCache) {
-        let obs = Arc::new(CountingCacheObserver::default());
-        let cache = ScheduleCache::new(max_bytes, Arc::clone(&obs) as Arc<dyn CacheObserver>);
-        (obs, cache)
-    }
-
     #[test]
     fn second_request_hits() {
-        let (obs, cache) = counting_cache(usize::MAX);
+        let cache = ScheduleCache::new(usize::MAX);
         let spec = TopologySpec::Torus { rows: 4, cols: 4 };
         let (a, o1) = cache
             .resolve(&spec, AlgorithmSpec::MultiTree, FaultKey::default())
@@ -606,15 +533,15 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "hits share the artifact");
         assert!(a.verified);
         assert!(a.forest.is_some(), "MultiTree entries keep their forest");
-        assert_eq!(obs.hits.load(Ordering::Relaxed), 1);
-        assert_eq!(obs.misses.load(Ordering::Relaxed), 1);
+        assert_eq!(cache.counters().hits.load(Ordering::Relaxed), 1);
+        assert_eq!(cache.counters().misses.load(Ordering::Relaxed), 1);
         assert_eq!(cache.resident_entries(), 1);
         assert_eq!(cache.resident_bytes(), a.bytes());
     }
 
     #[test]
     fn fault_delta_repairs_not_recompiles() {
-        let (obs, cache) = counting_cache(usize::MAX);
+        let cache = ScheduleCache::new(usize::MAX);
         let spec = TopologySpec::Torus { rows: 4, cols: 4 };
         // warm the healthy entry
         cache
@@ -630,9 +557,10 @@ mod tests {
         assert_eq!(outcome, CacheOutcome::Miss);
         assert!(matches!(repaired.provenance, Provenance::Repaired(_)));
         assert!(repaired.verified, "repairs are re-verified");
-        let total_repairs = obs.repairs_incremental.load(Ordering::Relaxed)
-            + obs.repairs_full_rebuild.load(Ordering::Relaxed)
-            + obs.repairs_survivor.load(Ordering::Relaxed);
+        let c = cache.counters();
+        let total_repairs = c.repairs_incremental.load(Ordering::Relaxed)
+            + c.repairs_full_rebuild.load(Ordering::Relaxed)
+            + c.repairs_survivor.load(Ordering::Relaxed);
         assert_eq!(total_repairs, 1);
         // the delta key is now cached too
         let (_, again) = cache.resolve(&spec, AlgorithmSpec::MultiTree, fk).unwrap();
@@ -644,20 +572,20 @@ mod tests {
         let spec_a = TopologySpec::Torus { rows: 4, cols: 4 };
         let spec_b = TopologySpec::Mesh { rows: 4, cols: 4 };
         // size the budget to hold roughly one entry
-        let (_, probe) = counting_cache(usize::MAX);
+        let probe = ScheduleCache::new(usize::MAX);
         let (entry, _) = probe
             .resolve(&spec_a, AlgorithmSpec::Ring, FaultKey::default())
             .unwrap();
         let budget = entry.bytes() + entry.bytes() / 2;
 
-        let (obs, cache) = counting_cache(budget);
+        let cache = ScheduleCache::new(budget);
         cache
             .resolve(&spec_a, AlgorithmSpec::Ring, FaultKey::default())
             .unwrap();
         cache
             .resolve(&spec_b, AlgorithmSpec::Ring, FaultKey::default())
             .unwrap();
-        assert_eq!(obs.evictions.load(Ordering::Relaxed), 1, "A evicted for B");
+        assert_eq!(cache.counters().evictions.load(Ordering::Relaxed), 1, "A evicted for B");
         assert!(cache.resident_bytes() <= budget);
         // A misses again (it was evicted), B still hits
         let (_, oa) = cache
@@ -670,7 +598,7 @@ mod tests {
     fn eviction_is_cost_aware_and_budget_strict() {
         // one real compiled entry, cloned into synthetic slots so byte
         // charges are uniform and only compile cost differs
-        let (_, probe) = counting_cache(usize::MAX);
+        let probe = ScheduleCache::new(usize::MAX);
         let (entry, _) = probe
             .resolve(
                 &TopologySpec::Torus { rows: 4, cols: 4 },
@@ -688,7 +616,7 @@ mod tests {
                 FaultKey::default(),
             )
         };
-        let (obs, cache) = counting_cache(budget);
+        let cache = ScheduleCache::new(budget);
         let expensive = mk_key(0);
         // the expensive entry is inserted FIRST, so it is also the
         // least recently used — pure LRU would sacrifice it
@@ -701,7 +629,7 @@ mod tests {
         cache.get_or_compile(&mk_key(1), || Ok(proto.clone())).unwrap();
         cache.get_or_compile(&mk_key(2), || Ok(proto.clone())).unwrap();
 
-        assert_eq!(obs.evictions.load(Ordering::Relaxed), 1);
+        assert_eq!(cache.counters().evictions.load(Ordering::Relaxed), 1);
         assert!(cache.resident_bytes() <= budget, "byte budget is strict");
         let (survivor, outcome) = cache
             .get_or_compile(&expensive, || Err("must still be resident".into()))
@@ -767,8 +695,7 @@ mod tests {
 
     #[test]
     fn panicking_compile_fails_like_an_error_and_unblocks_waiters() {
-        let (obs, cache) = counting_cache(usize::MAX);
-        let cache = Arc::new(cache);
+        let cache = Arc::new(ScheduleCache::new(usize::MAX));
         let spec = TopologySpec::Torus { rows: 4, cols: 4 };
         let key = ScheduleKey::with_fault_key(&spec, AlgorithmSpec::Ring, FaultKey::default());
 
@@ -797,7 +724,7 @@ mod tests {
         };
         // the coalesced counter ticks before the waiter parks on the
         // condvar; only then let the compile panic
-        while obs.coalesced.load(Ordering::Relaxed) == 0 {
+        while cache.counters().coalesced.load(Ordering::Relaxed) == 0 {
             std::thread::yield_now();
         }
         release_tx.send(()).unwrap();
@@ -808,7 +735,7 @@ mod tests {
             let e = r.as_ref().unwrap_err();
             assert!(e.contains("compile exploded"), "{e}");
         }
-        assert_eq!(obs.errors.load(Ordering::Relaxed), 1);
+        assert_eq!(cache.counters().errors.load(Ordering::Relaxed), 1);
 
         // the Pending slot is gone: a retry compiles cleanly
         let (entry, outcome) = cache
@@ -820,7 +747,7 @@ mod tests {
 
     #[test]
     fn compile_errors_propagate_and_do_not_stick() {
-        let (obs, cache) = counting_cache(usize::MAX);
+        let cache = ScheduleCache::new(usize::MAX);
         // 2D-Ring needs a grid; a fat-tree is not one
         let spec = TopologySpec::FatTree {
             leaves: 4,
@@ -831,12 +758,12 @@ mod tests {
             .resolve(&spec, AlgorithmSpec::Ring2D, FaultKey::default())
             .unwrap_err();
         assert!(!err.is_empty());
-        assert_eq!(obs.errors.load(Ordering::Relaxed), 1);
+        assert_eq!(cache.counters().errors.load(Ordering::Relaxed), 1);
         assert_eq!(cache.resident_entries(), 0, "failures are not cached");
         // a retry re-attempts the compile (and fails the same way)
         cache
             .resolve(&spec, AlgorithmSpec::Ring2D, FaultKey::default())
             .unwrap_err();
-        assert_eq!(obs.misses.load(Ordering::Relaxed), 2);
+        assert_eq!(cache.counters().misses.load(Ordering::Relaxed), 2);
     }
 }

@@ -134,20 +134,22 @@ fn serve_connection(stream: TcpStream, sender: &Arc<JobQueue>, shutdown: &Atomic
 
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line: Vec<u8> = Vec::new();
     let mut seq: u64 = 0;
     loop {
-        // `line` persists across timeout retries: read_line appends, so a
-        // request split across poll intervals reassembles correctly. The
-        // size cap is enforced in the read path itself — each read_line
-        // runs against a `Take` budgeted at one byte past the cap, so a
-        // client streaming a newline-free (or oversized but terminated)
-        // line can never buffer more than MAX_LINE_BYTES + 1 bytes here.
+        // `line` persists across timeout retries: read_until appends, so a
+        // request split across poll intervals reassembles correctly — bytes,
+        // not chars, so a multi-byte character split across two reads is
+        // whole again before anything decodes it. The size cap is enforced
+        // in the read path itself — each read runs against a `Take`
+        // budgeted at one byte past the cap, so a client streaming a
+        // newline-free (or oversized but terminated) line can never buffer
+        // more than MAX_LINE_BYTES + 1 bytes here.
         let budget = (MAX_LINE_BYTES + 1 - line.len()) as u64;
-        match (&mut reader).take(budget).read_line(&mut line) {
+        match (&mut reader).take(budget).read_until(b'\n', &mut line) {
             Ok(0) => break,
             Ok(_) => {
-                if !line.ends_with('\n') && line.len() > MAX_LINE_BYTES {
+                if !line.ends_with(b"\n") && line.len() > MAX_LINE_BYTES {
                     let _ = reply_tx.send((
                         seq,
                         Response::Error(ErrorResponse {
@@ -156,9 +158,13 @@ fn serve_connection(stream: TcpStream, sender: &Arc<JobQueue>, shutdown: &Atomic
                     ));
                     break;
                 }
-                let trimmed = line.trim();
-                if !trimmed.is_empty() {
-                    match serde_json::from_str::<Request>(trimmed) {
+                // invalid UTF-8 is one malformed request, like bad JSON
+                let trimmed = std::str::from_utf8(&line).map(str::trim);
+                if trimmed != Ok("") {
+                    let parsed = trimmed.map_err(|e| e.to_string()).and_then(|text| {
+                        serde_json::from_str::<Request>(text).map_err(|e| e.to_string())
+                    });
+                    match parsed {
                         Ok(request) => {
                             if sender
                                 .send(Job::new(seq, request, reply_tx.clone()))

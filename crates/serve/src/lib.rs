@@ -15,7 +15,7 @@
 //!   requests differing only there share one entry.
 //! * [`cache::ScheduleCache`] — compile-once storage: in-flight dedup
 //!   (exactly one compile per unique key), byte-budget LRU eviction,
-//!   observer-style telemetry. A key naming permanent deaths is
+//!   hit/miss/eviction counters. A key naming permanent deaths is
 //!   compiled by *repairing* the cached healthy forest (incremental →
 //!   full-rebuild → survivor-subset, re-verified) instead of starting
 //!   from scratch.
@@ -38,10 +38,7 @@ pub mod key;
 pub mod pool;
 pub mod protocol;
 
-pub use cache::{
-    CacheObserver, CacheOutcome, CachedSchedule, CountingCacheObserver, NoopCacheObserver,
-    Provenance, ScheduleCache,
-};
+pub use cache::{CacheOutcome, CachedSchedule, Provenance, ScheduleCache};
 pub use client::Client;
 pub use daemon::Daemon;
 pub use key::{FaultKey, ScheduleKey};

@@ -24,7 +24,7 @@
 //! `seq`, so response order always matches request order per connection
 //! while batches and connections interleave freely across workers.
 
-use crate::cache::{CacheObserver, CacheOutcome, CountingCacheObserver, Provenance, ScheduleCache};
+use crate::cache::{CacheOutcome, Provenance, ScheduleCache};
 use crate::key::{FaultKey, ScheduleKey};
 use crate::protocol::{
     EngineSpec, ErrorResponse, Request, Response, RunRequest, RunResponse, StatsResponse,
@@ -73,39 +73,46 @@ impl Default for ServeConfig {
     }
 }
 
-/// Everything the workers share: the schedule cache, its counters, and
-/// the serve limits.
+/// Buckets in the batch-occupancy histogram: bucket `i` counts batches
+/// of occupancy `i + 1`, the last bucket absorbing anything larger.
+pub const BATCH_HIST_BUCKETS: usize = 16;
+
+/// Everything the workers share: the schedule cache, the serve limits,
+/// and the counters the cache does not keep.
 pub struct ServeState {
-    /// The keyed prepared-schedule cache.
+    /// The keyed prepared-schedule cache (and its counters).
     pub cache: ScheduleCache,
-    /// The cache's telemetry counters (also snapshot into `Stats`).
-    pub observer: Arc<CountingCacheObserver>,
     /// Limits and network parameters.
     pub config: ServeConfig,
     /// Requests that failed outside the compile path (bad spec, engine
-    /// error); compile failures are counted by the observer.
+    /// error); compile failures are counted by the cache.
     runtime_errors: AtomicU64,
+    /// Coalesced batches executed by the worker pool.
+    batches: AtomicU64,
+    /// Runs executed inside those batches (the sum of occupancies —
+    /// every run lands in exactly one batch, so this equals the total
+    /// runs served).
+    batched_runs: AtomicU64,
+    /// Batch occupancy histogram (see [`BATCH_HIST_BUCKETS`]).
+    batch_occupancy: [AtomicU64; BATCH_HIST_BUCKETS],
 }
 
 impl ServeState {
     /// Builds the shared state for a daemon or an in-process server.
     pub fn new(config: ServeConfig) -> Self {
-        let observer = Arc::new(CountingCacheObserver::default());
-        let cache = ScheduleCache::new(
-            config.cache_bytes,
-            Arc::clone(&observer) as Arc<dyn crate::cache::CacheObserver>,
-        );
         ServeState {
-            cache,
-            observer,
+            cache: ScheduleCache::new(config.cache_bytes),
             config,
             runtime_errors: AtomicU64::new(0),
+            batches: AtomicU64::new(0),
+            batched_runs: AtomicU64::new(0),
+            batch_occupancy: Default::default(),
         }
     }
 
     /// Snapshot of the counters served by `Stats` requests.
     pub fn stats(&self) -> StatsResponse {
-        let o = &self.observer;
+        let o = self.cache.counters();
         StatsResponse {
             hits: o.hits.load(Ordering::Relaxed),
             misses: o.misses.load(Ordering::Relaxed),
@@ -116,9 +123,9 @@ impl ServeState {
             repairs_survivor: o.repairs_survivor.load(Ordering::Relaxed),
             errors: o.errors.load(Ordering::Relaxed)
                 + self.runtime_errors.load(Ordering::Relaxed),
-            batches: o.batches.load(Ordering::Relaxed),
-            batched_runs: o.batched_runs.load(Ordering::Relaxed),
-            batch_occupancy: o
+            batches: self.batches.load(Ordering::Relaxed),
+            batched_runs: self.batched_runs.load(Ordering::Relaxed),
+            batch_occupancy: self
                 .batch_occupancy
                 .iter()
                 .map(|b| b.load(Ordering::Relaxed))
@@ -196,7 +203,12 @@ impl ServeState {
         let spec = runs[0].topology.canonicalized();
         let fault_key = runs[0].faults.as_ref().map(FaultKey::of).unwrap_or_default();
         let key = ScheduleKey::with_fault_key(&spec, runs[0].algorithm, fault_key.clone());
-        self.observer.on_batch(&key, runs.len());
+        // an unbatched run is a batch of 1, so summing occupancies
+        // reconciles exactly with the number of runs served
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.batched_runs.fetch_add(runs.len() as u64, Ordering::Relaxed);
+        let bucket = runs.len().clamp(1, BATCH_HIST_BUCKETS) - 1;
+        self.batch_occupancy[bucket].fetch_add(1, Ordering::Relaxed);
 
         let valid: Vec<usize> = (0..runs.len()).filter(|&i| responses[i].is_none()).collect();
         if valid.is_empty() {

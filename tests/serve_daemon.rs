@@ -298,3 +298,120 @@ fn malformed_lines_error_in_order_and_connection_survives() {
         .unwrap();
     assert!(matches!(resp, Response::Run(_)), "daemon still serving");
 }
+
+/// A raw connection to `d` with a client-side read timeout, so a daemon
+/// that drops a line without answering fails the test instead of
+/// hanging it.
+fn raw_connection(d: &Daemon) -> (std::net::TcpStream, std::io::BufReader<std::net::TcpStream>) {
+    let raw = std::net::TcpStream::connect(d.addr()).unwrap();
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let reader = std::io::BufReader::new(raw.try_clone().unwrap());
+    (raw, reader)
+}
+
+fn read_response(reader: &mut std::io::BufReader<std::net::TcpStream>) -> Response {
+    use std::io::BufRead;
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    serde_json::from_str(line.trim())
+        .unwrap_or_else(|e| panic!("unparseable response line {line:?}: {e}"))
+}
+
+#[test]
+fn invalid_utf8_line_errors_in_order_and_connection_survives() {
+    use std::io::Write;
+    let d = daemon(1);
+    let (mut raw, mut reader) = raw_connection(&d);
+    raw.write_all(b"\xff\xfe\n\"Ping\"\n").unwrap();
+    let Response::Error(e) = read_response(&mut reader) else {
+        panic!("expected an error for a non-UTF-8 line");
+    };
+    assert!(e.detail.starts_with("malformed request"), "{}", e.detail);
+    assert!(matches!(read_response(&mut reader), Response::Pong));
+}
+
+#[test]
+fn character_split_across_read_timeouts_is_reassembled() {
+    use std::io::Write;
+    let d = daemon(1);
+    let (mut raw, mut reader) = raw_connection(&d);
+    // "é" is 0xC3 0xA9; the pause outlasts the daemon's 100 ms read
+    // timeout, so the two bytes arrive in different reads
+    raw.write_all(b"\"\xc3").unwrap();
+    raw.flush().unwrap();
+    std::thread::sleep(std::time::Duration::from_millis(250));
+    raw.write_all(b"\xa9\"\n\"Ping\"\n").unwrap();
+    // a JSON string is valid UTF-8 but not a request
+    let Response::Error(e) = read_response(&mut reader) else {
+        panic!("expected an error for a string that is not a request");
+    };
+    assert!(e.detail.starts_with("malformed request"), "{}", e.detail);
+    assert!(matches!(read_response(&mut reader), Response::Pong));
+}
+
+#[test]
+fn arbitrary_byte_lines_never_cost_the_connection() {
+    use proptest::prelude::*;
+    use std::io::Write;
+    let d = daemon(1);
+    let (mut raw, mut reader) = raw_connection(&d);
+    let lines = prop::collection::vec(0u16..256, 0..257);
+    for case in 0..64 {
+        let mut rng = proptest::TestRng::new(case);
+        let mut line: Vec<u8> = lines
+            .generate(&mut rng)
+            .into_iter()
+            .map(|b| b as u8)
+            .filter(|&b| b != b'\n')
+            .collect();
+        // blank lines are skipped without a response
+        let blank = std::str::from_utf8(&line).is_ok_and(|t| t.trim().is_empty());
+        line.extend_from_slice(b"\n\"Ping\"\n");
+        raw.write_all(&line).unwrap();
+        if !blank {
+            read_response(&mut reader);
+        }
+        assert!(
+            matches!(read_response(&mut reader), Response::Pong),
+            "case {case}: connection lost after {line:?}"
+        );
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+    // parse level only: a mutated spec can be arbitrarily expensive to
+    // build, so mutated requests are never executed
+    #[test]
+    fn mutated_run_requests_parse_without_panicking(
+        mutations in proptest::prop::collection::vec((0u8..4, 0usize..1024, 0u16..256), 0..12),
+    ) {
+        let mut plan = FaultPlan::new().link_down(LinkId::new(3), 0.0);
+        plan = plan.link_down(LinkId::new(7), 1.5e3);
+        let valid = Request::Run(RunRequest {
+            topology: TopologySpec::Torus { rows: 4, cols: 4 },
+            algorithm: AlgorithmSpec::MultiTree,
+            payload_bytes: 1 << 20,
+            engine: EngineSpec::Cycle,
+            faults: Some(plan),
+        });
+        let text = serde_json::to_string(&valid).unwrap();
+        proptest::prop_assert!(serde_json::from_str::<Request>(&text).is_ok());
+        let mut bytes = text.into_bytes();
+        for (kind, at, byte) in mutations {
+            let at = at % (bytes.len() + 1);
+            match kind {
+                0 if at < bytes.len() => bytes[at] ^= 1 << (byte % 8),
+                1 if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                2 => bytes.insert(at, byte as u8),
+                _ => bytes.truncate(at),
+            }
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        let _ = serde_json::from_str::<Request>(&text);
+    }
+}
